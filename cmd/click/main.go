@@ -23,17 +23,19 @@
 // configuration changes.
 //
 // -batch moves packets between elements in bursts of up to n (amortized
-// dispatch); -workers runs the task scheduler on n workers with work
-// stealing. -counters prints the familiar per-element handler dump;
+// dispatch); -workers steps the task loop in barrier rounds on n worker
+// goroutines (every task runs once per round on its own worker; the
+// free-running, work-stealing epoch mode is what -serve uses).
+// -counters prints the familiar per-element handler dump;
 // -report instead emits the full telemetry tree — per-element packet,
 // byte, drop, and cycle counters, their totals, any optimizer pass
 // reports carried in the configuration archive, and (with -trace) the
 // recorded per-packet element paths — as one JSON document on stdout.
 //
 // -hotswap names a replacement configuration to install atomically
-// mid-run at a task-round boundary: queue contents, ARP tables,
-// counters, flow-cache entries, and live handler settings transplant to
-// same-named elements (Click's take_state). The swap triggers on
+// mid-run at a task-round boundary (Scheduler.SyncDo): queue contents,
+// ARP tables, counters, flow-cache entries, and live handler settings
+// transplant to same-named elements (Click's take_state). The swap triggers on
 // SIGHUP, or after -hotswap-after active rounds when that is nonzero.
 // -adapt runs the telemetry-driven re-optimization controller: every
 // -adapt-interval active rounds it samples the live element counters,
@@ -66,10 +68,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -81,7 +83,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/mgmt"
 	"repro/internal/opt"
-	"repro/internal/packet"
 	"repro/internal/tool"
 )
 
@@ -91,70 +92,82 @@ func (h *stringList) String() string     { return strings.Join(*h, ",") }
 func (h *stringList) Set(s string) error { *h = append(*h, s); return nil }
 
 func main() {
-	file := flag.String("f", "-", "configuration file (- = stdin)")
-	rounds := flag.Int("rounds", 100000, "maximum task-loop rounds")
-	counters := flag.Bool("counters", true, "print element counters on exit")
-	report := flag.Bool("report", false, "emit the telemetry report (elements, totals, pass reports) as JSON")
-	traceCap := flag.Int("trace", 0, "record per-packet element paths (ring buffer of n records)")
-	batch := flag.Int("batch", 1, "move packets between elements in bursts of up to this size")
-	workers := flag.Int("workers", 1, "task scheduler workers (work stealing when > 1)")
-	hotswapFile := flag.String("hotswap", "", "replacement configuration to hot-swap in mid-run (on SIGHUP, or after -hotswap-after rounds)")
-	hotswapAfter := flag.Int("hotswap-after", 0, "hot-swap the -hotswap configuration after this many active rounds (0 = only on SIGHUP)")
-	fuse := flag.Bool("fuse", false, "fuse classification runs into decision diagrams before building")
-	flowcache := flag.Bool("flowcache", false, "install the flow fast path (exact-match cache with guarded invalidation) before building")
-	adapt := flag.Bool("adapt", false, "run the adaptive re-optimization controller")
-	adaptEvery := flag.Int("adapt-interval", 2000, "active rounds between adaptive telemetry samples")
-	adaptFlowCache := flag.Bool("adapt-flowcache", false, "let the adaptive controller install the flow fast path when the router runs hot")
-	serveAddr := flag.String("serve", "", "run as a multi-tenant server: listen on ADDR for the HTTP/JSON management API instead of running one configuration")
-	fullRebuild := flag.Bool("full-rebuild", false, "with -serve: rebuild the whole combined router on every tenant operation instead of patching incrementally")
-	noShare := flag.Bool("no-share", false, "with -serve: disable cross-tenant classifier sharing (private fused diagrams per tenant)")
-	backend := flag.String("backend", "sim", "device backend: sim (idle in-memory), pcap (replay/capture files), udp (localhost sockets)")
-	duration := flag.Duration("duration", time.Second, "wall-clock bound for -backend udp runs (ignored by sim and pcap)")
-	var reads, pcapIns, pcapOuts, udpMaps stringList
-	flag.Var(&reads, "h", "read handler \"element.name\" after the run (repeatable)")
-	flag.Var(&pcapIns, "pcap-in", "replay a capture into a device: [dev=]file (repeatable; bare file = first input device)")
-	flag.Var(&pcapOuts, "pcap-out", "capture a device's transmissions: [dev=]file (repeatable; bare file = one aggregate capture)")
-	flag.Var(&udpMaps, "udp-map", "bind a device to UDP sockets: dev=local[/peer] (repeatable, comma-separable)")
-	flag.Parse()
-	if flag.NArg() > 1 {
-		tool.Fail("click", fmt.Errorf("unexpected arguments: %v", flag.Args()[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the driver behind main: 0 on success, 1 on a configuration or
+// runtime error, 2 on a command-line error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("click", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "click: %v\n", err)
+		return 1
 	}
-	if flag.NArg() == 1 {
-		*file = flag.Arg(0)
+	file := fs.String("f", "-", "configuration file (- = stdin)")
+	rounds := fs.Int("rounds", 100000, "maximum task-loop rounds")
+	counters := fs.Bool("counters", true, "print element counters on exit")
+	report := fs.Bool("report", false, "emit the telemetry report (elements, totals, pass reports) as JSON")
+	traceCap := fs.Int("trace", 0, "record per-packet element paths (ring buffer of n records)")
+	batch := fs.Int("batch", 1, "move packets between elements in bursts of up to this size")
+	workers := fs.Int("workers", 1, "task scheduler workers (barrier rounds on n goroutines when > 1)")
+	hotswapFile := fs.String("hotswap", "", "replacement configuration to hot-swap in mid-run (on SIGHUP, or after -hotswap-after rounds)")
+	hotswapAfter := fs.Int("hotswap-after", 0, "hot-swap the -hotswap configuration after this many active rounds (0 = only on SIGHUP)")
+	fuse := fs.Bool("fuse", false, "fuse classification runs into decision diagrams before building")
+	flowcache := fs.Bool("flowcache", false, "install the flow fast path (exact-match cache with guarded invalidation) before building")
+	adapt := fs.Bool("adapt", false, "run the adaptive re-optimization controller")
+	adaptEvery := fs.Int("adapt-interval", 2000, "active rounds between adaptive telemetry samples")
+	adaptFlowCache := fs.Bool("adapt-flowcache", false, "let the adaptive controller install the flow fast path when the router runs hot")
+	serveAddr := fs.String("serve", "", "run as a multi-tenant server: listen on ADDR for the HTTP/JSON management API instead of running one configuration")
+	backend := fs.String("backend", "sim", "device backend: sim (idle in-memory), pcap (replay/capture files), udp (localhost sockets)")
+	duration := fs.Duration("duration", time.Second, "wall-clock bound for -backend udp runs (ignored by sim and pcap)")
+	var reads, pcapIns, pcapOuts, udpMaps stringList
+	fs.Var(&reads, "h", "read handler \"element.name\" after the run (repeatable)")
+	fs.Var(&pcapIns, "pcap-in", "replay a capture into a device: [dev=]file (repeatable; bare file = first input device)")
+	fs.Var(&pcapOuts, "pcap-out", "capture a device's transmissions: [dev=]file (repeatable; bare file = one aggregate capture)")
+	fs.Var(&udpMaps, "udp-map", "bind a device to UDP sockets: dev=local[/peer] (repeatable, comma-separable)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 1 {
+		return fail(fmt.Errorf("unexpected arguments: %v", fs.Args()[1:]))
+	}
+	if fs.NArg() == 1 {
+		*file = fs.Arg(0)
 	}
 	if *serveAddr != "" {
-		if err := runServe(*serveAddr, *file, *workers, *batch, *fullRebuild, *noShare); err != nil {
-			tool.Fail("click", err)
+		if err := runServe(*serveAddr, *file, *workers, *batch, stderr); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	reg := tool.Registry()
 	g, err := tool.ReadConfig(*file, reg)
 	if err != nil {
-		tool.Fail("click", err)
+		return fail(err)
 	}
 	if *fuse {
 		if err := opt.Fuse(g, reg); err != nil {
-			tool.Fail("click", err)
+			return fail(err)
 		}
 	}
 	if *flowcache {
 		if err := opt.InstallFlowCache(g, reg); err != nil {
-			tool.Fail("click", err)
+			return fail(err)
 		}
 	}
-	bk, err := newBackendSet(*backend, pcapIns, pcapOuts, udpMaps)
+	bk, err := newBackendSet(*backend, pcapIns, pcapOuts, udpMaps, stderr)
 	if err != nil {
-		tool.Fail("click", err)
+		return fail(err)
 	}
 	env, err := bk.provision(g)
 	if err != nil {
-		tool.Fail("click", err)
+		return fail(err)
 	}
 	rt, err := core.Build(g, reg, core.BuildOptions{Burst: *batch, Env: env})
 	if err != nil {
-		tool.Fail("click", err)
+		return fail(err)
 	}
 	var tracer *core.Tracer
 	if *traceCap > 0 {
@@ -162,23 +175,42 @@ func main() {
 	}
 	sched, err := core.NewScheduler(rt, *workers)
 	if err != nil {
-		tool.Fail("click", err)
+		return fail(err)
 	}
+	// install is the one way this driver changes the live router: the
+	// hot-swap runs inside SyncDo, at a round boundary, and its error
+	// comes back to whoever asked for it.
+	install := func(next *core.Router) error {
+		var err error
+		sched.SyncDo(func() { err = sched.Hotswap(next) })
+		return err
+	}
+	stopHUP := func() {}
 	if *hotswapFile != "" {
 		// SIGHUP swaps in the replacement at the next round boundary, the
-		// way a live Click reads a new configuration from /proc.
+		// way a live Click reads a new configuration from /proc. A
+		// replacement that fails to build or install is reported and the
+		// running router kept.
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, syscall.SIGHUP)
+		hupDone := make(chan struct{})
 		go func() {
+			defer close(hupDone)
 			for range ch {
 				next, err := buildReplacement(*hotswapFile, env, *batch)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "click: hotswap: %v\n", err)
-					continue
+				if err == nil {
+					err = install(next)
 				}
-				sched.RequestHotswap(next)
+				if err != nil {
+					fmt.Fprintf(stderr, "click: hotswap: %v\n", err)
+				}
 			}
 		}()
+		stopHUP = func() {
+			signal.Stop(ch)
+			close(ch)
+			<-hupDone
+		}
 	}
 	var ctrl *opt.Adaptive
 	if *adapt {
@@ -205,9 +237,11 @@ func main() {
 		if *hotswapFile != "" && *hotswapAfter > 0 && ran == *hotswapAfter {
 			next, err := buildReplacement(*hotswapFile, env, *batch)
 			if err != nil {
-				tool.Fail("click", err)
+				return fail(err)
 			}
-			sched.RequestHotswap(next)
+			if err := install(next); err != nil {
+				return fail(err)
+			}
 		}
 		if ctrl != nil && ran%*adaptEvery == 0 {
 			live := sched.Router()
@@ -223,13 +257,15 @@ func main() {
 			if d.Any() {
 				ng, areg, err := opt.Reoptimize(live.Graph, d)
 				if err != nil {
-					tool.Fail("click", err)
+					return fail(err)
 				}
 				next, err := core.Build(ng, areg, core.BuildOptions{Burst: *batch, Env: env})
 				if err != nil {
-					tool.Fail("click", err)
+					return fail(err)
 				}
-				sched.RequestHotswap(next)
+				if err := install(next); err != nil {
+					return fail(err)
+				}
 				if d.FastClassifier {
 					applied["fastclassifier"] = true
 				}
@@ -245,38 +281,39 @@ func main() {
 				if d.FlowCache {
 					applied["flowcache"] = true
 				}
-				fmt.Fprintf(os.Stderr, "click: adapt: %s\n", strings.Join(d.Reasons, "; "))
+				fmt.Fprintf(stderr, "click: adapt: %s\n", strings.Join(d.Reasons, "; "))
 			}
 		}
 	}
-	if err := sched.SwapErr(); err != nil {
-		tool.Fail("click", err)
-	}
+	// The SIGHUP handler is gone before the final router is read, so a
+	// late signal cannot swap it out from under the report.
+	stopHUP()
 	rt = sched.Router()
-	fmt.Fprintf(os.Stderr, "click: ran %d active task rounds\n", ran)
+	fmt.Fprintf(stderr, "click: ran %d active task rounds\n", ran)
 	defer rt.Close()
 	// Close backends before reporting so capture files are flushed and
 	// socket pumps stop.
 	if err := bk.Close(); err != nil {
-		tool.Fail("click", err)
+		return fail(err)
 	}
 
 	for _, path := range reads {
 		v, err := rt.ReadHandler(path)
 		if err != nil {
-			tool.Fail("click", err)
+			return fail(err)
 		}
-		fmt.Printf("%s: %s\n", path, v)
+		fmt.Fprintf(stdout, "%s: %s\n", path, v)
 	}
 	if *report {
-		if err := printJSONReport(rt, ran, tracer); err != nil {
-			tool.Fail("click", err)
+		if err := printJSONReport(stdout, rt, ran, tracer); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *counters && len(reads) == 0 {
-		printCounters(rt)
+		printCounters(stdout, rt)
 	}
+	return 0
 }
 
 // runServe runs the multi-tenant management plane: an empty combined
@@ -284,13 +321,11 @@ func main() {
 // HTTP/JSON API. A configuration file named on the command line (but
 // not the "-" stdin default, so a bare "click -serve :8080" starts
 // empty) is installed as tenant "default" before serving.
-func runServe(addr, file string, workers, batch int, fullRebuild, noShare bool) error {
+func runServe(addr, file string, workers, batch int, stderr io.Writer) error {
 	p, err := mgmt.NewPlane(mgmt.Options{
-		Registry:    tool.Registry(),
-		Workers:     workers,
-		Burst:       batch,
-		FullRebuild: fullRebuild,
-		NoShare:     noShare,
+		Registry: tool.Registry(),
+		Workers:  workers,
+		Burst:    batch,
 	})
 	if err != nil {
 		return err
@@ -303,7 +338,7 @@ func runServe(addr, file string, workers, batch int, fullRebuild, noShare bool) 
 		if err := p.Create("default", string(text), mgmt.Limits{}); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "click: serving %s as tenant \"default\"\n", file)
+		fmt.Fprintf(stderr, "click: serving %s as tenant \"default\"\n", file)
 	}
 	p.Start()
 	defer p.Stop()
@@ -317,7 +352,7 @@ func runServe(addr, file string, workers, batch int, fullRebuild, noShare bool) 
 		<-ch
 		srv.Close()
 	}()
-	fmt.Fprintf(os.Stderr, "click: management API on %s\n", addr)
+	fmt.Fprintf(stderr, "click: management API on %s\n", addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		return err
 	}
@@ -351,7 +386,7 @@ type jsonReport struct {
 	Trace       []core.TraceRecord        `json:"trace,omitempty"`
 }
 
-func printJSONReport(rt *core.Router, ran int, tracer *core.Tracer) error {
+func printJSONReport(stdout io.Writer, rt *core.Router, ran int, tracer *core.Tracer) error {
 	elems := rt.StatsReport()
 	rep := jsonReport{
 		TaskRounds: ran,
@@ -371,13 +406,13 @@ func printJSONReport(rt *core.Router, ran int, tracer *core.Tracer) error {
 		return err
 	}
 	blob = append(blob, '\n')
-	_, err = os.Stdout.Write(blob)
+	_, err = stdout.Write(blob)
 	return err
 }
 
 // printCounters dumps every element's counter-like handlers, the way
 // read-handler dumps of a live Click look.
-func printCounters(rt *core.Router) {
+func printCounters(stdout io.Writer, rt *core.Router) {
 	for _, i := range rt.Graph.LiveIndices() {
 		name := rt.Graph.Element(i).Name
 		names, err := rt.HandlerNames(name)
@@ -400,52 +435,9 @@ func printCounters(rt *core.Router) {
 			parts = append(parts, fmt.Sprintf("%s %s", h, v))
 		}
 		if len(parts) > 0 {
-			fmt.Printf("%-20s %-16s %s\n", name, rt.Graph.Element(i).Class, strings.Join(parts, ", "))
+			fmt.Fprintf(stdout, "%-20s %-16s %s\n", name, rt.Graph.Element(i).Class, strings.Join(parts, ", "))
 		}
 	}
-}
-
-// deviceClasses are the element classes that bind a named device from
-// the router environment at initialization.
-var deviceClasses = map[string]bool{
-	"PollDevice": true,
-	"FromDevice": true,
-	"ToDevice":   true,
-}
-
-// isDeviceClass reports whether class binds a device, seeing through
-// the "_dvN" suffix click-devirtualize appends to specialized classes.
-func isDeviceClass(class string) bool {
-	if deviceClasses[class] {
-		return true
-	}
-	if i := strings.LastIndex(class, "_dv"); i > 0 {
-		if _, err := strconv.Atoi(class[i+3:]); err == nil {
-			return deviceClasses[class[:i]]
-		}
-	}
-	return false
-}
-
-// inputClasses are the device classes that receive frames from a device
-// (as opposed to ToDevice, which only transmits).
-var inputClasses = map[string]bool{
-	"PollDevice": true,
-	"FromDevice": true,
-}
-
-// isInputClass reports whether class reads from a device, seeing through
-// devirtualized "_dvN" class names.
-func isInputClass(class string) bool {
-	if inputClasses[class] {
-		return true
-	}
-	if i := strings.LastIndex(class, "_dv"); i > 0 {
-		if _, err := strconv.Atoi(class[i+3:]); err == nil {
-			return inputClasses[class[:i]]
-		}
-	}
-	return false
 }
 
 // deviceNames returns the distinct device names a configuration
@@ -456,7 +448,7 @@ func deviceNames(g *graph.Router) (all, inputs []string) {
 	seenIn := map[string]bool{}
 	for _, i := range g.LiveIndices() {
 		e := g.Element(i)
-		if !isDeviceClass(e.Class) {
+		if !elements.BindsDevice(e.Class) {
 			continue
 		}
 		args := lang.SplitConfig(e.Config)
@@ -471,7 +463,7 @@ func deviceNames(g *graph.Router) (all, inputs []string) {
 			seen[name] = true
 			all = append(all, name)
 		}
-		if isInputClass(e.Class) && !seenIn[name] {
+		if elements.ReadsDevice(e.Class) && !seenIn[name] {
 			seenIn[name] = true
 			inputs = append(inputs, name)
 		}
@@ -506,16 +498,18 @@ type backendSet struct {
 
 	sinks    []*sinkFile
 	backends []pktio.Backend
+	stderr   io.Writer // binding and capture summaries
 }
 
 // newBackendSet parses the -backend family of flags. Replay files are
 // read eagerly so a bad capture fails before the router builds.
-func newBackendSet(mode string, pcapIns, pcapOuts, udpMaps []string) (*backendSet, error) {
+func newBackendSet(mode string, pcapIns, pcapOuts, udpMaps []string, stderr io.Writer) (*backendSet, error) {
 	b := &backendSet{
 		mode:     mode,
 		ins:      map[string][]pktio.Record{},
 		outPaths: map[string]string{},
 		udp:      map[string]udpSpec{},
+		stderr:   stderr,
 	}
 	switch mode {
 	case "sim", "pcap", "udp":
@@ -651,7 +645,7 @@ func (b *backendSet) provision(g *graph.Router) (map[string]interface{}, error) 
 		for _, name := range all {
 			spec, ok := b.udp[name]
 			if !ok {
-				env["device:"+name] = &idleDevice{name: name}
+				env["device:"+name] = &elements.IdleDevice{Name: name}
 				continue
 			}
 			be := pktio.NewUDP(spec.local, spec.peer)
@@ -662,7 +656,7 @@ func (b *backendSet) provision(g *graph.Router) (map[string]interface{}, error) 
 			b.backends = append(b.backends, be)
 			env["device:"+name] = dev
 			used[name] = true
-			fmt.Fprintf(os.Stderr, "click: %s bound to %s\n", name, be.LocalAddr())
+			fmt.Fprintf(b.stderr, "click: %s bound to %s\n", name, be.LocalAddr())
 		}
 		for name := range b.udp {
 			if !used[name] {
@@ -687,7 +681,7 @@ func (b *backendSet) Close() error {
 		if err := sf.sink.Close(); err != nil && first == nil {
 			first = err
 		}
-		fmt.Fprintf(os.Stderr, "click: captured %d frames to %s\n", n, sf.path)
+		fmt.Fprintf(b.stderr, "click: captured %d frames to %s\n", n, sf.path)
 	}
 	b.backends, b.sinks = nil, nil
 	return first
@@ -697,43 +691,10 @@ func (b *backendSet) Close() error {
 // in-memory device for every device name the configuration references,
 // so device-facing configurations initialize and run (idle) standalone.
 func provisionDevices(g *graph.Router) map[string]interface{} {
-	env := map[string]interface{}{}
-	for _, i := range g.LiveIndices() {
-		e := g.Element(i)
-		if !isDeviceClass(e.Class) {
-			continue
-		}
-		args := lang.SplitConfig(e.Config)
-		if len(args) == 0 {
-			continue
-		}
-		name := strings.TrimSpace(args[0])
-		if name == "" {
-			continue
-		}
-		key := "device:" + name
-		if _, ok := env[key]; !ok {
-			env[key] = &idleDevice{name: name}
-		}
+	all, _ := deviceNames(g)
+	env := make(map[string]interface{}, len(all))
+	for _, name := range all {
+		env["device:"+name] = &elements.IdleDevice{Name: name}
 	}
 	return env
 }
-
-// idleDevice is an in-memory elements.Device with an empty receive ring
-// and a transmit ring that discards (and counts) everything.
-type idleDevice struct {
-	name string
-	sent int64
-}
-
-func (d *idleDevice) DeviceName() string        { return d.name }
-func (d *idleDevice) RxDequeue() *packet.Packet { return nil }
-func (d *idleDevice) TxEnqueue(p *packet.Packet) bool {
-	d.sent++
-	p.Kill()
-	return true
-}
-func (d *idleDevice) TxRoom() bool { return true }
-func (d *idleDevice) TxClean() int { return 0 }
-
-var _ elements.Device = (*idleDevice)(nil)

@@ -29,12 +29,14 @@ type StateCarrier interface {
 }
 
 // Hotswap transplants preservable state from rt into next, matching
-// elements by configuration name. For every matched pair the telemetry
-// counters carry over; when the pair additionally shares a Go type and
-// implements StateCarrier, the element's own state (queued packets, ARP
-// tables, counters) moves across too. Elements present only in one
-// router keep their defaults (new) or are abandoned with the old router
-// (old).
+// elements by configuration name. It is the one transplant routine: a
+// whole-router swap passes the replacement router, a tenant swap
+// (Scheduler.SwapTenant) passes just the tenant's rebuilt subrouter.
+// For every matched pair the telemetry counters carry over; when the
+// pair additionally shares a Go type and implements StateCarrier, the
+// element's own state (queued packets, ARP tables, counters) moves
+// across too. Elements present only in one router keep their defaults
+// (new) or are abandoned with the old router (old).
 //
 // The caller must guarantee neither router is running: the old one
 // stopped at a task-round boundary, the new one not yet started. Between
@@ -50,22 +52,23 @@ func (rt *Router) Hotswap(next *Router) error {
 		name     string
 		from, to Element
 	}
-	// Guard generations carry over first: transplanted cache state (a
-	// FlowCache's entries) snapshots these counters, so the new router
-	// must continue the old router's counter history for those snapshots
-	// to stay meaningful.
-	next.guards.CopyFrom(rt.guards)
 	var pairs []pair
-	for _, e := range rt.elements {
-		if e == nil {
-			continue // removed by an incremental tenant delete
-		}
-		b := e.base()
-		ne, ok := next.byName[b.name]
+	for _, e := range next.elements {
+		name := e.base().name
+		old, ok := rt.byName[name]
 		if !ok {
 			continue
 		}
-		pairs = append(pairs, pair{b.name, e, ne})
+		if len(pairs) == 0 {
+			// Guard generations carry over first: transplanted cache
+			// state (a FlowCache's entries) snapshots these counters, so
+			// next must continue the counter history of the elements it
+			// replaces. That history lives in the old element's backing
+			// router — rt itself unless the element was spliced in, in
+			// which case it is the tenant's own guard domain.
+			next.guards.CopyFrom(old.base().router.guards)
+		}
+		pairs = append(pairs, pair{name, old, e})
 	}
 	// Transplant telemetry first: it is never destructive, and the swap
 	// should present continuous counters even for elements whose class

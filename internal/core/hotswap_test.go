@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/packet"
@@ -153,39 +156,138 @@ func TestHotswapRestoreErrorNamesElement(t *testing.T) {
 	}
 }
 
-func TestSchedulerRequestHotswap(t *testing.T) {
-	reg := hotswapRegistry()
-	old := buildText(t, "src :: TTask -> s :: TSink;", reg)
-	s, err := NewScheduler(old, 1)
+// tSpin is a task that stays productive until told to stop, keeping a
+// scheduler run alive while a control operation arrives.
+type tSpin struct {
+	Base
+	stop *atomic.Bool
+	runs atomic.Int64
+}
+
+func (e *tSpin) RunTask() bool {
+	e.runs.Add(1)
+	return !e.stop.Load()
+}
+
+// tStateQueue is a queue whose contents survive a hot-swap.
+type tStateQueue struct {
+	tPuller
+	failWith error
+}
+
+func (e *tStateQueue) SaveState() interface{} {
+	q := e.queue
+	e.queue = nil
+	return q
+}
+
+func (e *tStateQueue) RestoreState(state interface{}) error {
+	if e.failWith != nil {
+		return e.failWith
+	}
+	e.queue = state.([]*packet.Packet)
+	return nil
+}
+
+// TestSchedulerSyncDoHotswap installs a replacement router the only way
+// a live router changes — Hotswap inside a SyncDo closure — from the
+// driving goroutine between rounds and from a second goroutine while
+// RunUntilIdle runs, in round mode (1 worker) and epoch mode (2). The
+// old router holds five queued packets nothing drains; the replacement
+// adds the draining task, so delivery proves the transplant. A failing
+// RestoreState must come back through the closure and leave the old
+// router installed and scheduled.
+func TestSchedulerSyncDoHotswap(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, second := range []bool{false, true} {
+			for _, fail := range []bool{false, true} {
+				name := fmt.Sprintf("workers=%d/second-goroutine=%v/restore-fails=%v", workers, second, fail)
+				t.Run(name, func(t *testing.T) { syncDoHotswapCase(t, workers, second, fail) })
+			}
+		}
+	}
+}
+
+func syncDoHotswapCase(t *testing.T, workers int, second, fail bool) {
+	var stop atomic.Bool
+	reg := batchTestRegistry()
+	none := func(string) (graph.PortRange, graph.PortRange) { return graph.Exactly(0), graph.Exactly(0) }
+	reg.Register(&Spec{Name: "TSpin", Processing: "a/a", Ports: none,
+		Make: func() Element { return &tSpin{stop: &stop} }})
+	reg.Register(&Spec{Name: "TStateQueue", Processing: "h/l", Ports: func(string) (graph.PortRange, graph.PortRange) {
+		return graph.Between(0, 1), graph.Exactly(1)
+	}, Make: func() Element { return &tStateQueue{} }})
+	old := buildText(t, "spin :: TSpin; q :: TStateQueue -> k :: TPullSink;", reg)
+	next := buildText(t, "spin :: TSpin; q :: TStateQueue -> d :: TDrain;", reg)
+	old.Find("q").(*tStateQueue).queue = mkBatch(5)
+	if fail {
+		next.Find("q").(*tStateQueue).failWith = fmt.Errorf("boom")
+	}
+	s, err := NewScheduler(old, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drain the first router (TTask emits 3 packets).
-	s.RunUntilIdle(100)
-	if got := len(old.Find("s").(*tSink).got); got != 3 {
-		t.Fatalf("old sink got %d packets, want 3", got)
+	oldSpin := old.Find("spin").(*tSpin)
+	install := func() error {
+		var err error
+		s.SyncDo(func() { err = s.Hotswap(next) })
+		return err
+	}
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Errorf("timed out waiting for %s", what)
+				return
+			}
+		}
 	}
 
-	next := buildText(t, "src :: TTask -> s :: TSink;", reg)
-	s.RequestHotswap(next)
-	// The swap itself counts as round progress, then the new router's
-	// task emits its packets.
-	if !s.RunRound() {
-		t.Error("swap round reported no progress")
+	var swapErr error
+	if second {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer stop.Store(true)
+			waitFor("the run to start", func() bool { return oldSpin.runs.Load() > 0 })
+			swapErr = install()
+			if fail {
+				n := oldSpin.runs.Load()
+				waitFor("the old router to keep running", func() bool { return oldSpin.runs.Load() > n })
+			}
+		}()
+		s.RunUntilIdle(1 << 30)
+		<-done
+	} else {
+		s.RunRound()
+		swapErr = install()
+		if fail {
+			n := oldSpin.runs.Load()
+			s.RunRound()
+			if oldSpin.runs.Load() <= n {
+				t.Error("old router not scheduled after the failed swap")
+			}
+		}
+		stop.Store(true)
+		s.RunUntilIdle(1 << 30)
+	}
+
+	if fail {
+		if swapErr == nil || !strings.Contains(swapErr.Error(), `hotswap "q"`) {
+			t.Errorf("closure error = %v, want the RestoreState failure naming q", swapErr)
+		}
+		if s.Router() != old {
+			t.Error("failed swap replaced the installed router")
+		}
+		return
+	}
+	if swapErr != nil {
+		t.Fatal(swapErr)
 	}
 	if s.Router() != next {
 		t.Fatal("scheduler did not adopt the new router")
 	}
-	if s.SwapErr() != nil {
-		t.Fatal(s.SwapErr())
-	}
-	s.RunUntilIdle(100)
-	if got := len(next.Find("s").(*tSink).got); got != 3 {
-		t.Errorf("new sink got %d packets, want 3", got)
-	}
-	// Transplanted output stats continue from the old router's 3.
-	if got := next.Find("src").base().Stats().PacketsOut(); got != 6 {
-		t.Errorf("src PacketsOut = %d, want 6 (3 transplanted + 3 new)", got)
+	if got := next.Find("d").(*tDrain).drained; got != 5 {
+		t.Errorf("drained %d transplanted packets, want 5", got)
 	}
 }
 
@@ -202,7 +304,8 @@ func TestSchedulerHotswapParallelArmsElements(t *testing.T) {
 	}
 	s.RunUntilIdle(100)
 	next := buildText(t, cfg, reg)
-	if err := s.Hotswap(next); err != nil {
+	s.SyncDo(func() { err = s.Hotswap(next) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !next.Find("s").base().stats.shared {

@@ -23,16 +23,22 @@ import (
 // proven to be touched by a single task keep plain counters and skip
 // their guards entirely.
 //
-// Two run modes share the partition:
+// Two run modes share the partition and the worker pass (runPass):
 //
-//   - RunRound: one barrier-synchronized round, every task once. This
-//     is the deterministic mode the behavior-preservation difftests and
-//     the click -rounds loop drive directly.
-//   - RunUntilIdle with workers > 1: epoch mode. Workers free-run over
-//     their task lists with no per-round barrier; a monitor detects
+//   - RunRound: one barrier-synchronized round — P goroutines each make
+//     one non-stealing pass over their own task list and join, so every
+//     task runs exactly weight times. This is the deterministic mode
+//     the behavior-preservation difftests and the click -rounds loop
+//     drive directly.
+//   - RunUntilIdle with workers > 1: epoch mode. Workers free-run
+//     stealing passes with no per-round barrier; a monitor detects
 //     quiescence when every worker completes a full pass without any
-//     productive task, and workers rendezvous only for hot-swap
-//     installation and shutdown.
+//     productive task, and workers rendezvous only for control
+//     operations (SyncDo) and shutdown.
+//
+// A live router changes in exactly one way: a closure handed to SyncDo,
+// which runs at a quiescent point and calls Hotswap, SpliceTenant,
+// SwapTenant, RemoveTenant or a handler.
 type Scheduler struct {
 	rt      *Router
 	workers int
@@ -48,14 +54,6 @@ type Scheduler struct {
 	// re-flooding the whole graph, so a splice costs O(tenant).
 	aff       []int
 	affLabels int
-
-	queues []workerQueue // per-round run queues for the RunRound path
-
-	// pending holds a router awaiting installation; it installs at the
-	// next round boundary (RunRound) or rendezvous (epoch mode), where
-	// no task is mid-flight. swapErr records a failed installation.
-	pending atomic.Pointer[Router]
-	swapErr error
 
 	// Epoch-mode state.
 	stopFlag   atomic.Bool
@@ -109,35 +107,6 @@ type schedPlan struct {
 	perWorker [][]*sharedEntry
 }
 
-// workerQueue is one worker's run queue for a RunRound round. The
-// owner pops from the front; thieves take from the back.
-type workerQueue struct {
-	mu      sync.Mutex
-	entries []*sharedEntry
-}
-
-func (q *workerQueue) popFront() (*sharedEntry, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.entries) == 0 {
-		return nil, false
-	}
-	e := q.entries[0]
-	q.entries = q.entries[1:]
-	return e, true
-}
-
-func (q *workerQueue) popBack() (*sharedEntry, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.entries) == 0 {
-		return nil, false
-	}
-	e := q.entries[len(q.entries)-1]
-	q.entries = q.entries[:len(q.entries)-1]
-	return e, true
-}
-
 // NewScheduler builds a P-worker scheduler for an assembled router.
 // The simulated-CPU cost model is single-threaded by design (it is the
 // calibrated model of one Pentium III), so a parallel scheduler refuses
@@ -152,7 +121,6 @@ func NewScheduler(rt *Router, workers int) (*Scheduler, error) {
 	s := &Scheduler{
 		rt:      rt,
 		workers: workers,
-		queues:  make([]workerQueue, workers),
 		passes:  make([]passCounter, workers),
 	}
 	s.parkCond = sync.NewCond(&s.parkMu)
@@ -175,16 +143,12 @@ func (s *Scheduler) Workers() int { return s.workers }
 // replacement, after a hot-swap).
 func (s *Scheduler) Router() *Router { return s.rt }
 
-// SwapErr returns the error from the most recent failed RequestHotswap
-// installation, or nil.
-func (s *Scheduler) SwapErr() error { return s.swapErr }
-
 // arm switches a router's elements to parallel operation, guided by
 // the task-reach analysis: an element touched by two or more tasks
 // gets atomic telemetry counters and its Synchronizer guard; an
 // element proven exclusive to one task keeps plain counters and no
-// guard, because a task never runs on two workers concurrently (claim
-// flags in epoch mode, queue mutexes in round mode provide the
+// guard, because a task never runs on two workers concurrently (the
+// claim flag, and in round mode the join between rounds, provide the
 // happens-before edge when a task migrates). ConcurrencyHinter
 // elements (Queue) additionally learn their exact producer and
 // consumer task counts, selecting the single-producer/single-consumer
@@ -343,9 +307,9 @@ func (s *Scheduler) RemoveTenant(prefix string) []Element {
 }
 
 // SwapTenant replaces the subgraph under prefix with sub, transplanting
-// state between same-named elements exactly as a full hot-swap would
-// (telemetry always, StateCarrier state on Go-type identity, guard
-// generations adopted). Sub's element names must all lie under prefix
+// state between same-named elements with the full hot-swap's own
+// routine (Router.Hotswap, which adopts the outgoing tenant's guard
+// generations). Sub's element names must all lie under prefix
 // or at least not collide with surviving elements; the check runs
 // before any mutation. Same quiescent-point contract as SpliceTenant.
 func (s *Scheduler) SwapTenant(prefix string, sub *Router) ([]Element, error) {
@@ -357,7 +321,7 @@ func (s *Scheduler) SwapTenant(prefix string, sub *Router) ([]Element, error) {
 			return nil, fmt.Errorf("core: swap: element %q collides outside prefix %q", name, prefix)
 		}
 	}
-	if err := s.rt.TransplantInto(sub); err != nil {
+	if err := s.rt.Hotswap(sub); err != nil {
 		return nil, err
 	}
 	removed := s.RemoveTenant(prefix)
@@ -368,8 +332,9 @@ func (s *Scheduler) SwapTenant(prefix string, sub *Router) ([]Element, error) {
 // point: element state transplants across by name (Router.Hotswap),
 // the task partition is rebuilt from next's tasks, and — in parallel
 // mode — next's elements are armed for concurrent access before any
-// worker sees them. The caller must not be inside RunRound or epoch
-// execution; from another goroutine, use RequestHotswap instead.
+// worker sees them. Same quiescent-point contract as SpliceTenant: a
+// failed transplant returns the error to the SyncDo closure and leaves
+// the old router installed.
 func (s *Scheduler) Hotswap(next *Router) error {
 	if s.workers > 1 && next.CPU != nil {
 		return fmt.Errorf("core: hotswap: parallel scheduler cannot adopt a router with the simulated CPU cost model attached")
@@ -388,14 +353,6 @@ func (s *Scheduler) Hotswap(next *Router) error {
 	s.partition(tr)
 	return nil
 }
-
-// RequestHotswap asks the scheduler to install next at its next
-// quiescent point. It is safe to call from another goroutine (a signal
-// handler, a control loop) while RunUntilIdle is running; in epoch
-// mode the monitor rendezvouses the workers, installs, and releases
-// them. A second request before the first installs replaces it.
-// Installation failures are reported through SwapErr.
-func (s *Scheduler) RequestHotswap(next *Router) { s.pending.Store(next) }
 
 // SyncDo runs fn at the scheduler's next quiescent point and blocks
 // until it has run. Safe to call from any goroutine while RunRound or
@@ -471,31 +428,6 @@ func (s *Scheduler) WriteHandler(path, value string) error {
 	return err
 }
 
-// applyPending installs a requested router, reporting whether one was
-// installed.
-func (s *Scheduler) applyPending() bool {
-	next := s.pending.Swap(nil)
-	if next == nil {
-		return false
-	}
-	if err := s.Hotswap(next); err != nil {
-		s.swapErr = err
-		return false
-	}
-	return true
-}
-
-// steal takes a task from the back of another worker's round queue
-// (RunRound path).
-func (s *Scheduler) steal(self int) (*sharedEntry, bool) {
-	for off := 1; off < s.workers; off++ {
-		if e, ok := s.queues[(self+off)%s.workers].popBack(); ok {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
 // RunRound runs every task once (weight times each) across the workers
 // and reports whether any did useful work — the parallel equivalent of
 // Router.RunTaskRound, with the same idle-detection semantics. Workers
@@ -505,20 +437,11 @@ func (s *Scheduler) RunRound() bool {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	// Round boundary: no worker exists here, so queued control ops run
-	// and a requested hot-swap installs race-free. An applied swap
-	// counts as progress — the new router deserves at least one round
-	// before idle detection bites.
+	// race-free. A router installed by one of them gets this round: its
+	// tasks are the ones that run below.
 	s.drainOps()
-	swapped := s.applyPending()
 	if s.workers == 1 {
-		return s.rt.RunTaskRound() || swapped
-	}
-	plan := s.plan.Load()
-	for w := range s.queues {
-		q := &s.queues[w]
-		q.mu.Lock()
-		q.entries = append(q.entries[:0], plan.perWorker[w]...)
-		q.mu.Unlock()
+		return s.rt.RunTaskRound()
 	}
 	var any atomic.Bool
 	var wg sync.WaitGroup
@@ -526,53 +449,36 @@ func (s *Scheduler) RunRound() bool {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
-			did := false
-			for {
-				e, ok := s.queues[self].popFront()
-				if !ok {
-					if e, ok = s.steal(self); !ok {
-						break
-					}
-				}
-				for r := 0; r < e.runs; r++ {
-					if e.task.RunTask() {
-						did = true
-					}
-				}
-			}
-			if did {
+			if s.runPass(self, false) {
 				any.Store(true)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return any.Load() || swapped
+	return any.Load()
 }
 
-// runPass runs one full pass over the worker's own task list, then —
-// if nothing was productive — tries to help by running one stealable
-// task from a peer. Claim flags keep every task on at most one worker.
-func (s *Scheduler) runPass(self int) bool {
+// runPass is the one worker pass both run modes share: walk the
+// worker's own slice of the plan, claiming each task, running it
+// weight times and releasing it. With steal set, a pass that found
+// nothing productive then tries to help by running stealable tasks
+// from its peers until one is productive. Claim flags keep every task
+// on at most one worker; without stealing nobody contends for them, so
+// a barrier round runs every task exactly weight times.
+func (s *Scheduler) runPass(self int, steal bool) bool {
 	plan := s.plan.Load()
 	did := false
-	for _, e := range plan.perWorker[self] {
-		if !e.running.CompareAndSwap(false, true) {
-			continue // a thief is borrowing it this instant
+	for off := 0; off < s.workers; off++ {
+		own := off == 0
+		if !own && (did || !steal) {
+			break
 		}
-		for r := 0; r < e.runs; r++ {
-			if e.task.RunTask() {
-				did = true
-			}
-		}
-		e.running.Store(false)
-	}
-	if did {
-		return true
-	}
-	for off := 1; off < s.workers; off++ {
 		for _, e := range plan.perWorker[(self+off)%s.workers] {
-			if e.pinned >= 0 || !e.running.CompareAndSwap(false, true) {
-				continue
+			if !own && e.pinned >= 0 {
+				continue // flow-affine: never leaves its worker
+			}
+			if !e.running.CompareAndSwap(false, true) {
+				continue // a thief (or its owner) is running it this instant
 			}
 			for r := 0; r < e.runs; r++ {
 				if e.task.RunTask() {
@@ -580,12 +486,12 @@ func (s *Scheduler) runPass(self int) bool {
 				}
 			}
 			e.running.Store(false)
-			if did {
+			if !own && did {
 				return true
 			}
 		}
 	}
-	return false
+	return did
 }
 
 // workerLoop is one epoch-mode worker: free-run passes, publishing
@@ -601,7 +507,7 @@ func (s *Scheduler) workerLoop(self int, wg *sync.WaitGroup) {
 			s.park()
 			continue
 		}
-		did := s.runPass(self)
+		did := s.runPass(self, true)
 		if did {
 			s.progress.Add(1)
 		}
@@ -643,7 +549,7 @@ func (s *Scheduler) quiesce(fn func()) {
 // waitFullPass blocks until every worker has completed at least one
 // full pass begun after the call (two pass-count increments guarantee
 // one fully contained pass). It returns early, reporting false, when a
-// hot-swap request arrives.
+// control operation is queued.
 func (s *Scheduler) waitFullPass() bool {
 	base := make([]uint64, s.workers)
 	for w := range base {
@@ -660,7 +566,7 @@ func (s *Scheduler) waitFullPass() bool {
 		if done {
 			return true
 		}
-		if s.pending.Load() != nil || s.opCount.Load() > 0 {
+		if s.opCount.Load() > 0 {
 			return false
 		}
 		runtime.Gosched()
@@ -690,17 +596,10 @@ func (s *Scheduler) runEpochs(maxEpochs int) int {
 	}
 	productive := 0
 	for productive < maxEpochs {
-		if s.pending.Load() != nil || s.opCount.Load() > 0 {
-			swapped := false
-			s.quiesce(func() {
-				s.drainOps()
-				swapped = s.applyPending()
-			})
-			if swapped {
-				// The new router deserves at least one epoch before
-				// idle detection bites.
-				productive++
-			}
+		if s.opCount.Load() > 0 {
+			// A router installed here gets its first epoch: the loop
+			// waits out a full pass before idle detection can bite.
+			s.quiesce(s.drainOps)
 			continue
 		}
 		p0 := s.progress.Load()
@@ -727,7 +626,7 @@ func (s *Scheduler) runEpochs(maxEpochs int) int {
 // RunUntilIdle drives the router until no task does useful work. With
 // one worker it runs barrier rounds exactly like Router.RunUntilIdle;
 // with more it free-runs in epoch mode, where workers rendezvous only
-// for hot-swap and shutdown. maxRounds bounds the productive
+// for control operations and shutdown. maxRounds bounds the productive
 // rounds/epochs; the return value is how many occurred.
 func (s *Scheduler) RunUntilIdle(maxRounds int) int {
 	if s.workers == 1 {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -316,51 +317,67 @@ func TestSchedulerArmsSynchronizers(t *testing.T) {
 	}
 }
 
-func TestWorkerQueueStealRace(t *testing.T) {
-	// The round-mode owner pops from the front while a thief pops from
-	// the back. Run under -race, every entry must be handed out exactly
-	// once.
-	const n = 2000
-	q := &workerQueue{entries: make([]*sharedEntry, n)}
-	for i := range q.entries {
-		q.entries[i] = &sharedEntry{pinned: -1}
+// tCountTask counts its runs and flags overlapping executions. runs is
+// deliberately plain: under -race a second goroutine running the task
+// without a happens-before edge from the first is reported.
+type tCountTask struct {
+	Base
+	runs    int
+	inside  atomic.Int32
+	overlap atomic.Bool
+}
+
+func (e *tCountTask) RunTask() bool {
+	if e.inside.Add(1) != 1 {
+		e.overlap.Store(true)
 	}
-	all := append([]*sharedEntry(nil), q.entries...)
-	var wg sync.WaitGroup
-	got := make([][]*sharedEntry, 2)
-	for side := 0; side < 2; side++ {
-		wg.Add(1)
-		go func(side int) {
-			defer wg.Done()
-			for {
-				var e *sharedEntry
-				var ok bool
-				if side == 0 {
-					e, ok = q.popFront()
-				} else {
-					e, ok = q.popBack()
-				}
-				if !ok {
-					return
-				}
-				got[side] = append(got[side], e)
-			}
-		}(side)
+	e.runs++
+	runtime.Gosched() // widen the window an overlapping runner would hit
+	e.inside.Add(-1)
+	return true
+}
+
+// tWeights stands in for elements.ScheduleInfo.
+type tWeights struct {
+	Base
+	w map[string]int
+}
+
+func (e *tWeights) TaskWeights() map[string]int { return e.w }
+
+func TestRunRoundRunsEachTaskWeightTimes(t *testing.T) {
+	// Barrier rounds on 3 workers: every task must run exactly weight
+	// times per round, never on two goroutines at once — the
+	// determinism click -rounds and the hot-swap difftests rely on.
+	weights := map[string]int{"a": 1, "b": 2, "c": 3, "d": 5, "e": 1}
+	reg := batchTestRegistry()
+	none := func(string) (graph.PortRange, graph.PortRange) { return graph.Exactly(0), graph.Exactly(0) }
+	reg.Register(&Spec{Name: "TCountTask", Processing: "a/a", Ports: none,
+		Make: func() Element { return &tCountTask{} }})
+	reg.Register(&Spec{Name: "TWeights", Processing: "a/a", Ports: none,
+		Make: func() Element { return &tWeights{w: weights} }})
+	cfg := "a :: TCountTask; b :: TCountTask; c :: TCountTask; d :: TCountTask; e :: TCountTask; w :: TWeights;"
+	rt, err := BuildFromText(cfg, "t", reg, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	seen := map[*sharedEntry]bool{}
-	for _, e := range append(got[0], got[1]...) {
-		if seen[e] {
-			t.Fatal("entry handed out twice")
+	s, err := NewScheduler(rt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		if !s.RunRound() {
+			t.Fatalf("round %d reported no progress", i)
 		}
-		seen[e] = true
 	}
-	if len(seen) != n {
-		t.Fatalf("handed out %d of %d entries", len(seen), n)
-	}
-	for _, e := range all {
-		if !seen[e] {
-			t.Fatal("entry lost")
+	for name, w := range weights {
+		e := rt.Find(name).(*tCountTask)
+		if e.runs != w*rounds {
+			t.Errorf("task %s ran %d times, want weight %d x %d rounds = %d", name, e.runs, w, rounds, w*rounds)
+		}
+		if e.overlap.Load() {
+			t.Errorf("task %s ran on two goroutines at once", name)
 		}
 	}
 }

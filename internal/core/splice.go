@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 )
 
@@ -128,58 +127,4 @@ func (rt *Router) maybeCompact() {
 	for t := range rt.taskElems {
 		rt.taskElems[t] = remap[rt.taskElems[t]]
 	}
-}
-
-// TransplantInto moves preservable state from rt's elements into sub's
-// same-named replacements — the scoped counterpart of Hotswap, used
-// when one tenant's subgraph is swapped while the rest of the router
-// keeps running. Per-pair rules match Hotswap exactly: guard
-// generations are adopted first (from the old elements' backing
-// router), telemetry counters carry over for every name match, and
-// element state moves when the pair shares a Go type and implements
-// StateCarrier.
-func (rt *Router) TransplantInto(sub *Router) error {
-	type pair struct {
-		name     string
-		from, to Element
-	}
-	var pairs []pair
-	adopted := false
-	for _, e := range sub.elements {
-		if e == nil {
-			continue
-		}
-		b := e.base()
-		old, ok := rt.byName[b.name]
-		if !ok {
-			continue
-		}
-		if !adopted {
-			if or := old.base().router; or != nil {
-				sub.guards.CopyFrom(or.guards)
-			}
-			adopted = true
-		}
-		pairs = append(pairs, pair{b.name, old, e})
-	}
-	for _, p := range pairs {
-		p.to.base().stats.Transplant(&p.from.base().stats)
-	}
-	for _, p := range pairs {
-		if reflect.TypeOf(p.from) != reflect.TypeOf(p.to) {
-			continue
-		}
-		sc, ok := p.from.(StateCarrier)
-		if !ok {
-			continue
-		}
-		st := sc.SaveState()
-		if st == nil {
-			continue
-		}
-		if err := p.to.(StateCarrier).RestoreState(st); err != nil {
-			return fmt.Errorf("core: transplant %q: %v", p.name, err)
-		}
-	}
-	return nil
 }

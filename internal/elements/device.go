@@ -3,6 +3,7 @@ package elements
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -40,6 +41,52 @@ type BatchDevice interface {
 	// TxEnqueueBatch places packets on the TX ring until it fills,
 	// returning how many were accepted.
 	TxEnqueueBatch(ps []*packet.Packet) int
+}
+
+// IdleDevice is an in-memory Device with an empty receive ring and a
+// bottomless transmit ring that discards what it is given. It is what
+// the driver and the management plane bind for a device nobody
+// provided, so hardware-facing configurations initialize and run (idle)
+// standalone.
+type IdleDevice struct{ Name string }
+
+func (d *IdleDevice) DeviceName() string        { return d.Name }
+func (d *IdleDevice) RxDequeue() *packet.Packet { return nil }
+func (d *IdleDevice) TxEnqueue(p *packet.Packet) bool {
+	p.Kill()
+	return true
+}
+func (d *IdleDevice) TxRoom() bool { return true }
+func (d *IdleDevice) TxClean() int { return 0 }
+
+// StripDevirt removes a click-devirtualize "_dvN" suffix, exposing the
+// base class a devirtualized element specializes.
+func StripDevirt(class string) string {
+	i := strings.LastIndex(class, "_dv")
+	if i < 0 || i+3 >= len(class) {
+		return class
+	}
+	for _, c := range class[i+3:] {
+		if c < '0' || c > '9' {
+			return class
+		}
+	}
+	return class[:i]
+}
+
+// ReadsDevice reports whether class receives frames from the device its
+// first configuration argument names (PollDevice, FromDevice and their
+// devirtualized variants).
+func ReadsDevice(class string) bool {
+	c := StripDevirt(class)
+	return c == "PollDevice" || c == "FromDevice"
+}
+
+// BindsDevice reports whether class binds the device its first
+// configuration argument names from the router environment at
+// initialization: the input classes plus ToDevice.
+func BindsDevice(class string) bool {
+	return ReadsDevice(class) || StripDevirt(class) == "ToDevice"
 }
 
 // rxDequeueBatch drains up to len(buf) packets from dev, batched when

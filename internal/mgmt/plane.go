@@ -11,10 +11,10 @@
 // running combined router at a scheduler quiescent point
 // (Scheduler.SpliceTenant / SwapTenant / RemoveTenant) — O(tenant) per
 // operation instead of the O(fleet) full rebuild the plane launched
-// with, which survives as Options.FullRebuild for baselines and as the
-// RebuildFull escape hatch. Swaps keep the zero-loss hot-swap
-// semantics: same-name same-type elements carry their queue contents,
-// counters, and table state across.
+// with, which survives as Options.FullRebuild, the reference the
+// equivalence tests and the mgmtscale experiment compare against. Swaps
+// keep the zero-loss hot-swap semantics: same-name same-type elements
+// carry their queue contents, counters, and table state across.
 //
 // Tenants with identical rulesets share fused classifier decision
 // diagrams through a plane-wide hash-cons table
@@ -46,7 +46,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lang"
 	"repro/internal/opt"
-	"repro/internal/packet"
 )
 
 // Limits bound one tenant's resource footprint. Zero fields take the
@@ -99,12 +98,13 @@ type Options struct {
 	Limits Limits
 	// FullRebuild reverts every control operation to the O(fleet)
 	// path: rebuild the whole combined router and install it through a
-	// full hot-swap. It exists as the measured baseline for the
-	// incremental path and as a conservative fallback.
+	// full hot-swap. Reference mode for tests and the mgmtscale
+	// experiment, which compare the incremental path against it.
 	FullRebuild bool
 	// NoShare disables per-tenant classifier fusion and the
 	// cross-tenant shared-diagram table, admitting configurations
-	// exactly as written.
+	// exactly as written. Reference mode for tests and the mgmtscale
+	// experiment.
 	NoShare bool
 }
 
@@ -259,26 +259,6 @@ func validTenantID(id string) error {
 	return nil
 }
 
-// deviceClasses are the element classes whose first config argument
-// names a device bound from the environment.
-var deviceClasses = map[string]bool{
-	"PollDevice": true,
-	"FromDevice": true,
-	"ToDevice":   true,
-}
-
-func isDeviceClass(class string) bool {
-	if deviceClasses[class] {
-		return true
-	}
-	if i := strings.LastIndex(class, "_dv"); i > 0 {
-		if _, err := strconv.Atoi(class[i+3:]); err == nil {
-			return deviceClasses[class[:i]]
-		}
-	}
-	return false
-}
-
 // parsedConfig parses and optimizes one configuration text, keyed by
 // its hash: a config the plane has seen before — the same tenant
 // re-swapped, or a different tenant running the identical ruleset —
@@ -344,7 +324,7 @@ func (p *Plane) admit(id, text string, lim Limits) (*tenant, error) {
 			}
 			queueBudget += cap
 		}
-		if !isDeviceClass(e.Class) {
+		if !elements.BindsDevice(e.Class) {
 			continue
 		}
 		args := lang.SplitConfig(e.Config)
@@ -434,10 +414,10 @@ func (p *Plane) buildSub(t *tenant) (*core.Router, error) {
 }
 
 // install rebuilds the combined router and hot-swaps it in at a
-// quiescent point — the full O(fleet) path, used by FullRebuild mode
-// and RebuildFull. Unchanged tenants' elements keep their state: the
-// transplant matches by (prefixed) name and Go type, and prefixes are
-// stable. Callers hold p.mu.
+// quiescent point — the full O(fleet) path, used by FullRebuild mode.
+// Unchanged tenants' elements keep their state: the transplant matches
+// by (prefixed) name and Go type, and prefixes are stable. Callers hold
+// p.mu.
 func (p *Plane) install() error {
 	next, err := p.buildCombined()
 	if err != nil {
@@ -446,19 +426,6 @@ func (p *Plane) install() error {
 	var swapErr error
 	p.sched.SyncDo(func() { swapErr = p.sched.Hotswap(next) })
 	return swapErr
-}
-
-// RebuildFull rebuilds the whole fleet from scratch and installs it
-// through a full hot-swap — the O(fleet) baseline the incremental path
-// replaces. The mgmtscale benchmark calls it to measure both costs in
-// the same process; it is also the recovery path if an operator wants
-// a known-clean rebuild. Note that a full rebuild collapses per-tenant
-// guard domains into the new router's single guard set until tenants
-// are next swapped individually.
-func (p *Plane) RebuildFull() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.install()
 }
 
 // provisionDevices binds a tenant's devices into the environment map.
@@ -471,7 +438,7 @@ func (p *Plane) provisionDevices(t *tenant) {
 			obj = p.opts.Devices(t.id, dev)
 		}
 		if obj == nil {
-			obj = &idleDevice{name: scoped}
+			obj = &elements.IdleDevice{Name: scoped}
 		}
 		p.devs["device:"+scoped] = obj
 	}
@@ -851,21 +818,3 @@ func (p *Plane) pump(stop, done chan struct{}) {
 		}
 	}
 }
-
-// idleDevice satisfies elements.Device with an empty RX ring and a
-// bottomless TX ring — the default binding when no DeviceProvider is
-// configured.
-type idleDevice struct{ name string }
-
-func (d *idleDevice) DeviceName() string { return d.name }
-
-func (d *idleDevice) RxDequeue() *packet.Packet { return nil }
-
-func (d *idleDevice) TxEnqueue(p *packet.Packet) bool {
-	p.Kill()
-	return true
-}
-
-func (d *idleDevice) TxRoom() bool { return true }
-
-func (d *idleDevice) TxClean() int { return 0 }

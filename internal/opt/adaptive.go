@@ -93,11 +93,11 @@ func (d Decision) Any() bool {
 // class names the fastclassifier and fuse passes generate (possibly
 // wearing a devirtualize "_dvN" suffix).
 func generatedFastClassifier(class string) bool {
-	return strings.HasPrefix(stripDevirt(class), "FastClassifier@@")
+	return strings.HasPrefix(elements.StripDevirt(class), "FastClassifier@@")
 }
 
 func generatedFusedClassifier(class string) bool {
-	return strings.HasPrefix(stripDevirt(class), "FusedClassifier_")
+	return strings.HasPrefix(elements.StripDevirt(class), "FusedClassifier_")
 }
 
 // Observe feeds the controller one telemetry sample: the live router's
@@ -143,11 +143,11 @@ func (a *Adaptive) Observe(g *graph.Router, stats []core.ElementStatsReport) Dec
 
 	// fuse: a hot run of two or more adjacent classification-only
 	// elements collapses into one decision diagram. Detection is by
-	// class name (stripDevirt'd, so specialized variants count);
+	// class name (StripDevirt'd, so specialized variants count);
 	// already-fused FusedClassifier_N stages are classification-only
 	// too, so a hot diagram adjacent to a fresh classifier re-fuses.
 	fusable := func(class string) bool {
-		base := stripDevirt(class)
+		base := elements.StripDevirt(class)
 		return base == "StaticSwitch" || classifierClasses[base] ||
 			generatedFastClassifier(class) || generatedFusedClassifier(class)
 	}
@@ -170,7 +170,7 @@ fuse:
 	if a.Opts.EnableFlowCache && maxIn >= a.Opts.MinPackets {
 		has := false
 		for _, i := range g.LiveIndices() {
-			if stripDevirt(g.Element(i).Class) == "FlowCache" {
+			if elements.StripDevirt(g.Element(i).Class) == "FlowCache" {
 				has = true
 				break
 			}

@@ -368,7 +368,8 @@ func diffRunSwap(t *testing.T, text string, ndev int,
 	if err != nil {
 		t.Fatalf("build replacement: %v\n%s", err, lang.Unparse(g2))
 	}
-	if err := s.Hotswap(rt2); err != nil {
+	s.SyncDo(func() { err = s.Hotswap(rt2) })
+	if err != nil {
 		t.Fatalf("hotswap: %v", err)
 	}
 	for rounds := 0; rounds < 100000 && s.RunRound(); rounds++ {

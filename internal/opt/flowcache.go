@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/elements"
 	"repro/internal/graph"
 )
 
@@ -28,21 +29,14 @@ import (
 func InstallFlowCache(g *graph.Router, reg *core.Registry) error {
 	report := &PassReport{Pass: "flowcache"}
 	for _, i := range g.LiveIndices() {
-		if stripDevirt(g.Elements[i].Class) == "FlowCache" {
+		if elements.StripDevirt(g.Elements[i].Class) == "FlowCache" {
 			attachReport(g, report)
 			return nil
 		}
 	}
 
-	isIngressSrc := func(class string) bool {
-		switch stripDevirt(class) {
-		case "PollDevice", "FromDevice":
-			return true
-		}
-		return false
-	}
 	isEgressSink := func(class string) bool {
-		switch stripDevirt(class) {
+		switch elements.StripDevirt(class) {
 		case "Queue", "RED":
 			return true
 		}
@@ -52,7 +46,7 @@ func InstallFlowCache(g *graph.Router, reg *core.Registry) error {
 	// Ingress edges: the single output edge of each device source.
 	var ingress []graph.Connection
 	for _, i := range g.LiveIndices() {
-		if !isIngressSrc(g.Elements[i].Class) {
+		if !elements.ReadsDevice(g.Elements[i].Class) {
 			continue
 		}
 		for p := 0; p < g.NOutputs(i); p++ {
@@ -74,7 +68,7 @@ func InstallFlowCache(g *graph.Router, reg *core.Registry) error {
 	collectTaps := func() {
 		taps = taps[:0]
 		for _, c := range g.Conns {
-			if isEgressSink(g.Elements[c.To].Class) && !isIngressSrc(g.Elements[c.From].Class) && !isEgressSink(g.Elements[c.From].Class) {
+			if isEgressSink(g.Elements[c.To].Class) && !elements.ReadsDevice(g.Elements[c.From].Class) && !isEgressSink(g.Elements[c.From].Class) {
 				taps = append(taps, c)
 			}
 		}

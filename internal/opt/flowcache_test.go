@@ -405,7 +405,8 @@ func TestFlowCacheHotswapZipf(t *testing.T) {
 				s.RunRound()
 			}
 			rt2 := build() // ARP state transplants; do not re-warm
-			if err := s.Hotswap(rt2); err != nil {
+			s.SyncDo(func() { err = s.Hotswap(rt2) })
+			if err != nil {
 				t.Fatalf("%s: hotswap: %v", label, err)
 			}
 			for rounds := 0; rounds < 100000 && s.RunRound(); rounds++ {

@@ -261,21 +261,6 @@ func Fuse(g *graph.Router, reg *core.Registry) error {
 	return nil
 }
 
-// stripDevirt removes a click-devirtualize "_dvN" suffix, exposing the
-// base class a devirtualized element specializes.
-func stripDevirt(class string) string {
-	i := strings.LastIndex(class, "_dv")
-	if i < 0 || i+3 >= len(class) {
-		return class
-	}
-	for _, c := range class[i+3:] {
-		if c < '0' || c > '9' {
-			return class
-		}
-	}
-	return class[:i]
-}
-
 // isFuseStage reports whether element i is classification-only: its
 // entire effect is routing the unmodified packet to an output chosen by
 // header inspection, expressible as a decision-tree program. That is
@@ -284,7 +269,7 @@ func stripDevirt(class string) string {
 // fused classifiers), and StaticSwitch, whose constant choice is a
 // degenerate program.
 func isFuseStage(g *graph.Router, i int, reg *core.Registry) bool {
-	class := stripDevirt(g.Element(i).Class)
+	class := elements.StripDevirt(g.Element(i).Class)
 	if class == "StaticSwitch" || classifierClasses[class] {
 		return true
 	}
@@ -300,7 +285,7 @@ func isFuseStage(g *graph.Router, i int, reg *core.Registry) bool {
 // program, with leaf ports in the element's own output space.
 func fuseStageProgram(g *graph.Router, i int, reg *core.Registry) (*classifier.Program, error) {
 	e := g.Element(i)
-	if stripDevirt(e.Class) == "StaticSwitch" {
+	if elements.StripDevirt(e.Class) == "StaticSwitch" {
 		k, err := strconv.Atoi(strings.TrimSpace(e.Config))
 		if err != nil {
 			return nil, fmt.Errorf("bad StaticSwitch port %q", e.Config)
@@ -311,7 +296,7 @@ func fuseStageProgram(g *graph.Router, i int, reg *core.Registry) (*classifier.P
 		}
 		return pr, nil
 	}
-	if classifierClasses[stripDevirt(e.Class)] {
+	if classifierClasses[elements.StripDevirt(e.Class)] {
 		return extractProgram(e.Class, e.Config, reg)
 	}
 	if spec, ok := reg.Lookup(e.Class); ok && spec.Make != nil {

@@ -1,12 +1,15 @@
 #!/bin/sh
-# Full verification: build, vet, tests, and the race-detector tier.
-# The -race run matters because the parallel scheduler and the batched
-# transfer paths share Queue rings, ARP tables, and the packet pool
-# across workers; the differential tests in internal/opt drive those
-# paths under 2 workers and will surface unguarded state here. The
-# hot-swap differential tests run under -race explicitly: a mid-round
-# swap on the parallel scheduler is exactly where a missed round
-# boundary would show up as a data race on transplanted state.
+# Full verification: build, vet, tests, the race-detector tier, and the
+# bench module's own tests.
+#
+# The race tier is one run of everything under -race. It is there to
+# catch: state shared across workers (Queue rings, ARP tables, the
+# sharded packet pool, refcounts) touched without its guard; a hot-swap,
+# tenant splice or write handler landing anywhere but a SyncDo quiescent
+# point (a missed round boundary or rendezvous shows up as a race on
+# transplanted state); flow-cache shards and guard generations read on
+# the fast path while handlers bump them; and the UDP pump feeding the
+# task loop from another goroutine.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -15,40 +18,7 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./...
-go test -race -run 'Hotswap|DifferentialHotswap' ./internal/core ./internal/opt ./internal/netsim ./internal/elements
-# Lock-free tier: the SPSC/MPSC Queue rings, the sharded packet pool,
-# concurrent refcounting, handler reads during traffic, and the
-# steal paths, each driven by a dedicated concurrent test.
-go test -race -run 'QueueBatchConcurrent|QueueHandlersDuringTraffic|Concurrent|StealRace|Stealing' ./internal/elements ./internal/packet ./internal/core
-# Fusion tier: the whole-path classifier fusion pass end to end — the
-# FDD build and splice algebra, the pass's archive round trip and
-# ordering against the other optimizers, the property-based equivalence
-# harness, and the ruleset-sweep benchmark smoke.
-go test -race -run 'Fuse|Fusion|SpecializeFDD|Splice' ./internal/classifier ./internal/opt ./internal/experiments
-# Flow-cache tier: the exact-match fast path in front of the pipeline —
-# guarded invalidation against route/ARP/config writes, hot-swap entry
-# transplant under Zipf load, the differential matrix with the install
-# pass enabled, and the mutation fuzzer's seed corpus. Runs under -race
-# because the per-shard caches and guard generations are read on the
-# fast path while write handlers bump them from other goroutines.
-go test -race -run 'FlowCache|AdaptiveFuseSurvives' ./internal/opt ./internal/experiments
-# Management tier: the multi-tenant plane under the race detector —
-# hierarchical handler paths with hostile element names, HTTP round
-# trips, tenant lifecycle (create/swap/delete with transplant), the
-# N-tenant isolation hammer, and write handlers mutating Queue and RED
-# settings from a second goroutine while parallel traffic runs. These
-# exercise the SyncDo rendezvous: control operations must only ever
-# run at a scheduler round boundary or epoch quiescent point.
-go test -race -run 'Hostile|HTTP|Tenant|Isolation|WriteHandlersDuringParallelTraffic' ./internal/core ./internal/mgmt ./internal/elements
-# Backend tier: real packet I/O under the race detector — the UDP
-# socket pump feeding the router's task loop from another goroutine,
-# the pcap replay/capture devices inside the parallel scheduler, and
-# the golden-trace byte-equality matrix across passes and modes.
-go test -race -run 'UDPLoopback|UDPBackend|PcapBackend|Replay' ./internal/io ./internal/opt ./internal/netsim
-# Incremental-admission tier: splice/remove/transplant against the
-# epoch scheduler, the randomized incremental-vs-full-rebuild and
-# shared-vs-private-FDD equivalence difftests, per-tenant guard
-# isolation, the intern table, and the multi-goroutine admission
-# hammer against a live pump. Runs under -race because every control
-# patch lands at a quiescent point while workers free-run.
-go test -race -run 'Incremental|MgmtScale|Equivalence|SharedFDD|InternTable' ./internal/core ./internal/mgmt ./internal/netsim ./internal/experiments ./internal/classifier
+# bench/ is its own module, so ./... above does not reach it: its tests
+# hold the harness to zero allocations and BENCHMARK.json to the metric
+# names the harness emits.
+(cd bench && go vet ./... && go test ./...)
