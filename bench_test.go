@@ -156,38 +156,6 @@ func benchBatchForward(b *testing.B, variant string) {
 func BenchmarkBatchForwardingBase(b *testing.B) { benchBatchForward(b, "Base") }
 func BenchmarkBatchForwardingAll(b *testing.B)  { benchBatchForward(b, "All") }
 
-// BenchmarkParallelScaling drives the batched optimized router through
-// the work-stealing scheduler at 1, 2, and 4 workers. On a single-core
-// host the workers serialize; the benchmark then reports the
-// scheduler's coordination overhead rather than a speedup.
-func BenchmarkParallelScaling(b *testing.B) {
-	const burst = 32
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("P%d", workers), func(b *testing.B) {
-			rt, in, ifs := benchRouterBurst(b, "All", burst)
-			s, err := core.NewScheduler(rt, workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tmpl := transitPacket(ifs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += burst {
-				n := burst
-				if rem := b.N - i; rem < n {
-					n = rem
-				}
-				in.rx = in.rx[:0]
-				for j := 0; j < n; j++ {
-					in.rx = append(in.rx, tmpl.Clone())
-				}
-				s.RunRound()
-				s.RunRound()
-			}
-		})
-	}
-}
-
 // BenchmarkFig8Breakdown reports the model's Figure 8 numbers as
 // metrics (the table itself is printed by click-bench -experiment
 // fig8).

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	click [-f config] [-rounds n] [-batch n] [-workers n] [-trace n] [-fuse]
+//	click [-f config] [-rounds n] [-batch n] [-trace n] [-fuse]
 //	      [-flowcache] [-hotswap config] [-hotswap-after n] [-adapt]
 //	      [-adapt-interval n] [-adapt-flowcache] [-serve addr]
 //	      [-backend sim|pcap|udp] [-pcap-in [dev=]file]... [-pcap-out [dev=]file]...
@@ -23,10 +23,7 @@
 // configuration changes.
 //
 // -batch moves packets between elements in bursts of up to n (amortized
-// dispatch); -workers steps the task loop in barrier rounds on n worker
-// goroutines (every task runs once per round on its own worker; the
-// free-running, work-stealing epoch mode is what -serve uses).
-// -counters prints the familiar per-element handler dump;
+// dispatch). -counters prints the familiar per-element handler dump;
 // -report instead emits the full telemetry tree — per-element packet,
 // byte, drop, and cycle counters, their totals, any optimizer pass
 // reports carried in the configuration archive, and (with -trace) the
@@ -110,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	report := fs.Bool("report", false, "emit the telemetry report (elements, totals, pass reports) as JSON")
 	traceCap := fs.Int("trace", 0, "record per-packet element paths (ring buffer of n records)")
 	batch := fs.Int("batch", 1, "move packets between elements in bursts of up to this size")
-	workers := fs.Int("workers", 1, "task scheduler workers (barrier rounds on n goroutines when > 1)")
 	hotswapFile := fs.String("hotswap", "", "replacement configuration to hot-swap in mid-run (on SIGHUP, or after -hotswap-after rounds)")
 	hotswapAfter := fs.Int("hotswap-after", 0, "hot-swap the -hotswap configuration after this many active rounds (0 = only on SIGHUP)")
 	fuse := fs.Bool("fuse", false, "fuse classification runs into decision diagrams before building")
@@ -136,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*file = fs.Arg(0)
 	}
 	if *serveAddr != "" {
-		if err := runServe(*serveAddr, *file, *workers, *batch, stderr); err != nil {
+		if err := runServe(*serveAddr, *file, *batch, stderr); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -173,10 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *traceCap > 0 {
 		tracer = rt.EnableTracing(*traceCap)
 	}
-	sched, err := core.NewScheduler(rt, *workers)
-	if err != nil {
-		return fail(err)
-	}
+	sched := core.NewScheduler(rt)
 	// install is the one way this driver changes the live router: the
 	// hot-swap runs inside SyncDo, at a round boundary, and its error
 	// comes back to whoever asked for it.
@@ -316,15 +309,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// Management API connection bounds: a client that stalls mid-request or
+// never reads its response cannot hold a connection open indefinitely.
+// The body itself is bounded in mgmt (1 MiB).
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	serveReadTimeout       = 30 * time.Second
+	serveWriteTimeout      = 30 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // runServe runs the multi-tenant management plane: an empty combined
 // router pumped in the background, administered entirely over the
 // HTTP/JSON API. A configuration file named on the command line (but
 // not the "-" stdin default, so a bare "click -serve :8080" starts
 // empty) is installed as tenant "default" before serving.
-func runServe(addr, file string, workers, batch int, stderr io.Writer) error {
+func runServe(addr, file string, batch int, stderr io.Writer) error {
 	p, err := mgmt.NewPlane(mgmt.Options{
 		Registry: tool.Registry(),
-		Workers:  workers,
 		Burst:    batch,
 	})
 	if err != nil {
@@ -343,7 +345,14 @@ func runServe(addr, file string, workers, batch int, stderr io.Writer) error {
 	p.Start()
 	defer p.Stop()
 
-	srv := &http.Server{Addr: addr, Handler: p.Handler()}
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           p.Handler(),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		WriteTimeout:      serveWriteTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	// SIGINT/SIGTERM stop the listener so the deferred plane shutdown
 	// quiesces the dataplane cleanly.
 	ch := make(chan os.Signal, 1)

@@ -116,6 +116,7 @@ func TestRunExitCodes(t *testing.T) {
 	}{
 		{[]string{"-serve", "localhost:0", "-full-rebuild"}, 2, "-full-rebuild"},
 		{[]string{"-serve", "localhost:0", "-no-share"}, 2, "-no-share"},
+		{[]string{"-workers", "2", iprouter8}, 2, "-workers"},
 		{[]string{"-backend", "bogus", iprouter8}, 1, "unknown backend"},
 	} {
 		var out, errw bytes.Buffer

@@ -111,12 +111,3 @@ func (p *InPort) PullBatch(buf []*packet.Packet) int {
 	}
 	return n
 }
-
-// Synchronizer is implemented by elements holding state that several
-// scheduler workers may touch concurrently (Queue's ring, ARPQuerier's
-// tables). The parallel scheduler calls EnableSync on every element
-// before starting workers; in the default single-threaded runtime the
-// guards stay disabled and cost nothing.
-type Synchronizer interface {
-	EnableSync()
-}

@@ -34,8 +34,8 @@ const (
 type GuardSnapshot [numGuardClasses]uint64
 
 // Generations holds the per-class guard counters for one router.
-// Counters are atomic: write handlers and learned-state updates may run
-// on any worker while fast paths read concurrently.
+// Counters are atomic so a driver may bump or snapshot them from a
+// goroutine other than the run loop's.
 type Generations struct {
 	v [numGuardClasses]atomic.Uint64
 }

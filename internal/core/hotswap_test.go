@@ -192,23 +192,20 @@ func (e *tStateQueue) RestoreState(state interface{}) error {
 // TestSchedulerSyncDoHotswap installs a replacement router the only way
 // a live router changes — Hotswap inside a SyncDo closure — from the
 // driving goroutine between rounds and from a second goroutine while
-// RunUntilIdle runs, in round mode (1 worker) and epoch mode (2). The
-// old router holds five queued packets nothing drains; the replacement
+// RunUntilIdle runs. The old router holds five queued packets nothing drains; the replacement
 // adds the draining task, so delivery proves the transplant. A failing
 // RestoreState must come back through the closure and leave the old
 // router installed and scheduled.
 func TestSchedulerSyncDoHotswap(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		for _, second := range []bool{false, true} {
-			for _, fail := range []bool{false, true} {
-				name := fmt.Sprintf("workers=%d/second-goroutine=%v/restore-fails=%v", workers, second, fail)
-				t.Run(name, func(t *testing.T) { syncDoHotswapCase(t, workers, second, fail) })
-			}
+	for _, second := range []bool{false, true} {
+		for _, fail := range []bool{false, true} {
+			name := fmt.Sprintf("second-goroutine=%v/restore-fails=%v", second, fail)
+			t.Run(name, func(t *testing.T) { syncDoHotswapCase(t, second, fail) })
 		}
 	}
 }
 
-func syncDoHotswapCase(t *testing.T, workers int, second, fail bool) {
+func syncDoHotswapCase(t *testing.T, second, fail bool) {
 	var stop atomic.Bool
 	reg := batchTestRegistry()
 	none := func(string) (graph.PortRange, graph.PortRange) { return graph.Exactly(0), graph.Exactly(0) }
@@ -223,10 +220,7 @@ func syncDoHotswapCase(t *testing.T, workers int, second, fail bool) {
 	if fail {
 		next.Find("q").(*tStateQueue).failWith = fmt.Errorf("boom")
 	}
-	s, err := NewScheduler(old, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewScheduler(old)
 	oldSpin := old.Find("spin").(*tSpin)
 	install := func() error {
 		var err error
@@ -288,38 +282,5 @@ func syncDoHotswapCase(t *testing.T, workers int, second, fail bool) {
 	}
 	if got := next.Find("d").(*tDrain).drained; got != 5 {
 		t.Errorf("drained %d transplanted packets, want 5", got)
-	}
-}
-
-func TestSchedulerHotswapParallelArmsElements(t *testing.T) {
-	// Two tasks push into one sink, so the replacement's sink must come
-	// out of Hotswap armed (atomic stats); the task elements themselves
-	// are single-task and must stay worker-local (plain counters).
-	cfg := "t1 :: TTask -> [0]s :: TSyncSink; t2 :: TTask -> [1]s;"
-	reg := batchTestRegistry()
-	old := buildText(t, cfg, reg)
-	s, err := NewScheduler(old, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntilIdle(100)
-	next := buildText(t, cfg, reg)
-	s.SyncDo(func() { err = s.Hotswap(next) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !next.Find("s").base().stats.shared {
-		t.Fatal("shared sink stats not armed for parallel run after hotswap")
-	}
-	if !next.Find("s").(*tSyncSink).synced {
-		t.Fatal("shared sink guard not armed after hotswap")
-	}
-	if next.Find("t1").base().stats.shared {
-		t.Error("task-exclusive element armed despite single-task proof")
-	}
-	s.RunUntilIdle(100)
-	// Each TTask emits 3; transplanted counters carry the old run's 6.
-	if got := next.Find("s").base().Stats().PacketsIn(); got != 12 {
-		t.Errorf("sink PacketsIn = %d, want 12 (6 transplanted + 6 new)", got)
 	}
 }

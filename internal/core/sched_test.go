@@ -1,9 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -48,26 +45,6 @@ func (e *tBatchPuller) PullBatch(port int, buf []*packet.Packet) int {
 	return n
 }
 
-// tSyncSink reports whether the scheduler armed its guards.
-type tSyncSink struct {
-	Base
-	synced bool
-}
-
-func (s *tSyncSink) Push(port int, p *packet.Packet) { p.Kill() }
-func (s *tSyncSink) EnableSync()                     { s.synced = true }
-
-// tSteer is a minimal FlowSteerer: route by first payload byte. It
-// stands in for elements.FlowSteer, which cannot be imported here.
-type tSteer struct {
-	Base
-}
-
-func (e *tSteer) FlowSteering() {}
-func (e *tSteer) Push(port int, p *packet.Packet) {
-	e.Output(int(p.Data()[0]) % e.NOutputs()).Push(p)
-}
-
 // tDrain is a pulling task: each RunTask drains one packet from its
 // input.
 type tDrain struct {
@@ -95,12 +72,6 @@ func batchTestRegistry() *Registry {
 	reg.Register(&Spec{Name: "TBatchPuller", Processing: "h/l", Ports: func(string) (graph.PortRange, graph.PortRange) {
 		return graph.Between(0, 1), graph.Between(0, 1)
 	}, Make: func() Element { return &tBatchPuller{} }})
-	reg.Register(&Spec{Name: "TSyncSink", Processing: "h/", Ports: func(string) (graph.PortRange, graph.PortRange) {
-		return graph.Between(0, 2), graph.Exactly(0)
-	}, Make: func() Element { return &tSyncSink{} }})
-	reg.Register(&Spec{Name: "TSteer", Processing: "h/h", Ports: func(string) (graph.PortRange, graph.PortRange) {
-		return graph.Exactly(1), graph.AtLeast(1)
-	}, Make: func() Element { return &tSteer{} }})
 	reg.Register(&Spec{Name: "TDrain", Processing: "l/", Ports: func(string) (graph.PortRange, graph.PortRange) {
 		return graph.Exactly(1), graph.Exactly(0)
 	}, Make: func() Element { return &tDrain{} }})
@@ -229,111 +200,58 @@ func TestPullBatchTarget(t *testing.T) {
 
 func TestSchedulerRunsAllTasks(t *testing.T) {
 	cfg := "t1 :: TTask -> s1 :: TSink; t2 :: TTask -> s2 :: TSink; t3 :: TTask -> s3 :: TSink;"
-	for _, workers := range []int{1, 2, 4, 8} {
-		rt, err := BuildFromText(cfg, "t", batchTestRegistry(), BuildOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewScheduler(rt, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Workers() != workers {
-			t.Errorf("Workers() = %d, want %d", s.Workers(), workers)
-		}
-		rounds := s.RunUntilIdle(100)
-		if workers == 1 {
-			// The scalar path keeps exact per-round semantics.
-			if rounds != 3 {
-				t.Errorf("workers=1: active rounds = %d, want 3", rounds)
-			}
-		} else if rounds < 1 {
-			// Epoch mode reports coarser productive epochs; zero would
-			// mean the workers never ran the tasks.
-			t.Errorf("workers=%d: productive epochs = %d, want >= 1", workers, rounds)
-		}
-		for _, name := range []string{"s1", "s2", "s3"} {
-			if got := len(rt.Find(name).(*tSink).got); got != 3 {
-				t.Errorf("workers=%d: %s got %d packets, want 3", workers, name, got)
-			}
-		}
-	}
-}
-
-func TestSchedulerRefusesSimulatedCPU(t *testing.T) {
-	rt, err := BuildFromText("t1 :: TTask -> s1 :: TSink;", "t", batchTestRegistry(),
-		BuildOptions{CPU: simcpu.New(simcpu.P0)})
+	rt, err := BuildFromText(cfg, "t", batchTestRegistry(), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewScheduler(rt, 2); err == nil || !strings.Contains(err.Error(), "simulated CPU") {
-		t.Errorf("NewScheduler(2) with CPU attached: err = %v, want refusal", err)
+	if rounds := NewScheduler(rt).RunUntilIdle(100); rounds != 3 {
+		t.Errorf("active rounds = %d, want 3", rounds)
 	}
-	// One worker is the scalar path and stays legal.
-	if _, err := NewScheduler(rt, 1); err != nil {
-		t.Errorf("NewScheduler(1) with CPU attached: %v", err)
+	for _, name := range []string{"s1", "s2", "s3"} {
+		if got := len(rt.Find(name).(*tSink).got); got != 3 {
+			t.Errorf("%s got %d packets, want 3", name, got)
+		}
 	}
 }
 
-func TestSchedulerArmsSynchronizers(t *testing.T) {
-	// The sink is pushed into by two tasks, so the analysis must arm it.
-	shared := "t1 :: TTask -> [0]s :: TSyncSink; t2 :: TTask -> [1]s;"
-	build := func(cfg string) *Router {
-		rt, err := BuildFromText(cfg, "t", batchTestRegistry(), BuildOptions{})
+// The scheduler is the same loop as Router.RunUntilIdle, so it drives a
+// router with the cost model attached and charges the model exactly the
+// same cycles for the same input.
+func TestSchedulerChargesModelLikeRouter(t *testing.T) {
+	cfg := "t1 :: TTask -> a :: TPass -> s1 :: TBatchSink; t2 :: TTask -> s2 :: TSink;"
+	run := func(drive func(*Router) int) (rounds int, cycles int64) {
+		cpu := simcpu.New(simcpu.P0)
+		rt, err := BuildFromText(cfg, "t", batchTestRegistry(), BuildOptions{CPU: cpu})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rt
+		rounds = drive(rt)
+		for _, name := range []string{"s1", "s2"} {
+			if n := rt.Find(name).base().Stats().PacketsIn(); n != 3 {
+				t.Fatalf("%s received %d packets, want 3", name, n)
+			}
+		}
+		return rounds, cpu.TotalCycles()
 	}
-	rt := build(shared)
-	if _, err := NewScheduler(rt, 1); err != nil {
-		t.Fatal(err)
+	wantRounds, want := run(func(rt *Router) int { return rt.RunUntilIdle(100) })
+	gotRounds, got := run(func(rt *Router) int { return NewScheduler(rt).RunUntilIdle(100) })
+	if want == 0 {
+		t.Fatal("reference run charged no model cycles")
 	}
-	if rt.Find("s").(*tSyncSink).synced {
-		t.Error("single-worker scheduler armed sync guards")
-	}
-	rt = build(shared)
-	if _, err := NewScheduler(rt, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !rt.Find("s").(*tSyncSink).synced {
-		t.Error("parallel scheduler did not arm sync guards")
-	}
-	if !rt.Find("s").base().stats.shared {
-		t.Error("two-task sink stats not atomic")
-	}
-	// A sink touched by exactly one task stays unguarded even in
-	// parallel mode: the task-reach analysis proves exclusivity, so its
-	// counters stay worker-local (plain).
-	rt = build("t1 :: TTask -> s :: TSyncSink;")
-	if _, err := NewScheduler(rt, 2); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Find("s").(*tSyncSink).synced {
-		t.Error("task-exclusive sink was armed despite single-task proof")
-	}
-	if rt.Find("s").base().stats.shared {
-		t.Error("task-exclusive sink stats went atomic despite single-task proof")
+	if got != want || gotRounds != wantRounds {
+		t.Errorf("scheduler: %d cycles in %d rounds, Router.RunUntilIdle: %d cycles in %d rounds",
+			got, gotRounds, want, wantRounds)
 	}
 }
 
-// tCountTask counts its runs and flags overlapping executions. runs is
-// deliberately plain: under -race a second goroutine running the task
-// without a happens-before edge from the first is reported.
+// tCountTask counts its runs.
 type tCountTask struct {
 	Base
-	runs    int
-	inside  atomic.Int32
-	overlap atomic.Bool
+	runs int
 }
 
 func (e *tCountTask) RunTask() bool {
-	if e.inside.Add(1) != 1 {
-		e.overlap.Store(true)
-	}
 	e.runs++
-	runtime.Gosched() // widen the window an overlapping runner would hit
-	e.inside.Add(-1)
 	return true
 }
 
@@ -346,8 +264,7 @@ type tWeights struct {
 func (e *tWeights) TaskWeights() map[string]int { return e.w }
 
 func TestRunRoundRunsEachTaskWeightTimes(t *testing.T) {
-	// Barrier rounds on 3 workers: every task must run exactly weight
-	// times per round, never on two goroutines at once — the
+	// Every task must run exactly weight times per round — the
 	// determinism click -rounds and the hot-swap difftests rely on.
 	weights := map[string]int{"a": 1, "b": 2, "c": 3, "d": 5, "e": 1}
 	reg := batchTestRegistry()
@@ -361,10 +278,7 @@ func TestRunRoundRunsEachTaskWeightTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewScheduler(rt, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewScheduler(rt)
 	const rounds = 40
 	for i := 0; i < rounds; i++ {
 		if !s.RunRound() {
@@ -372,89 +286,8 @@ func TestRunRoundRunsEachTaskWeightTimes(t *testing.T) {
 		}
 	}
 	for name, w := range weights {
-		e := rt.Find(name).(*tCountTask)
-		if e.runs != w*rounds {
+		if e := rt.Find(name).(*tCountTask); e.runs != w*rounds {
 			t.Errorf("task %s ran %d times, want weight %d x %d rounds = %d", name, e.runs, w, rounds, w*rounds)
 		}
-		if e.overlap.Load() {
-			t.Errorf("task %s ran on two goroutines at once", name)
-		}
-	}
-}
-
-func TestFlowAffinityPinsSteeredPaths(t *testing.T) {
-	// A source pushes through a flow steerer into two queue/drain
-	// chains. The partitioner must pin each drain task to the worker
-	// owning its steered output — and onto different workers with P=2 —
-	// while the source stays stealable.
-	cfg := `src :: TTask -> fs :: TSteer;
-fs [0] -> q0 :: TPuller -> d0 :: TDrain;
-fs [1] -> q1 :: TPuller -> d1 :: TDrain;`
-	rt, err := BuildFromText(cfg, "t", batchTestRegistry(), BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	taskOf := func(name string) int {
-		for ti, ei := range rt.taskElems {
-			if rt.elements[ei] == rt.Find(name) {
-				return ti
-			}
-		}
-		t.Fatalf("no task for %s", name)
-		return -1
-	}
-	aff, _ := flowAffinity(rt, rt.analyzeTasks())
-	src, d0, d1 := taskOf("src"), taskOf("d0"), taskOf("d1")
-	if aff[src] != -1 {
-		t.Errorf("source task labeled %d, want -1 (stealable)", aff[src])
-	}
-	if aff[d0] < 0 || aff[d1] < 0 {
-		t.Fatalf("drain tasks not flow-labeled: %d, %d", aff[d0], aff[d1])
-	}
-	if aff[d0] == aff[d1] {
-		t.Errorf("both drains share label %d — steered outputs collapsed", aff[d0])
-	}
-
-	s, err := NewScheduler(rt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := s.plan.Load()
-	worker := map[Task]int{}
-	pinned := map[Task]bool{}
-	for w, entries := range plan.perWorker {
-		for _, e := range entries {
-			worker[e.task] = w
-			pinned[e.task] = e.pinned >= 0
-		}
-	}
-	dt0, dt1 := rt.tasks[d0], rt.tasks[d1]
-	if !pinned[dt0] || !pinned[dt1] {
-		t.Error("drain tasks not pinned")
-	}
-	if worker[dt0] == worker[dt1] {
-		t.Errorf("both drains placed on worker %d", worker[dt0])
-	}
-	if pinned[rt.tasks[src]] {
-		t.Error("source task pinned despite having no flow label")
-	}
-}
-
-func TestSchedulerStealing(t *testing.T) {
-	// More workers than tasks: the surplus workers must steal (or idle)
-	// without deadlocking, and every packet must still arrive.
-	rt, err := BuildFromText("t1 :: TTask -> s1 :: TSink;", "t", batchTestRegistry(), BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran, err := rt.RunParallelUntilIdle(8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran < 1 {
-		t.Errorf("productive epochs = %d, want >= 1", ran)
-	}
-	if got := len(rt.Find("s1").(*tSink).got); got != 3 {
-		t.Errorf("sink got %d packets, want 3", got)
 	}
 }

@@ -62,13 +62,11 @@ func (rt *Router) Splice(sub *Router) error {
 }
 
 // RemoveByPrefix removes every element whose name starts with prefix,
-// in one pass over the tables. It returns the removed elements (so the
-// caller can close ones holding external resources) and a mask over the
-// *pre-removal* task list marking which task slots went away — the
-// scheduler uses it to filter its parallel affinity table. Dead slots
-// are compacted away once they outnumber the live elements, so a long
+// in one pass over the tables. It returns the removed elements, so the
+// caller can close ones holding external resources. Dead slots are
+// compacted away once they outnumber the live elements, so a long
 // create/delete history cannot grow the tables without bound.
-func (rt *Router) RemoveByPrefix(prefix string) (removed []Element, removedTasks []bool) {
+func (rt *Router) RemoveByPrefix(prefix string) (removed []Element) {
 	deadSet := map[int]bool{}
 	var deadIdx []int
 	for i, ge := range rt.Graph.Elements {
@@ -84,11 +82,9 @@ func (rt *Router) RemoveByPrefix(prefix string) (removed []Element, removedTasks
 		delete(rt.byName, ge.Name)
 	}
 	rt.Graph.RemoveElements(deadIdx)
-	removedTasks = make([]bool, len(rt.tasks))
 	kt, kw, ke := rt.tasks[:0], rt.weights[:0], rt.taskElems[:0]
 	for t := range rt.tasks {
 		if deadSet[rt.taskElems[t]] {
-			removedTasks[t] = true
 			continue
 		}
 		kt = append(kt, rt.tasks[t])
@@ -97,7 +93,7 @@ func (rt *Router) RemoveByPrefix(prefix string) (removed []Element, removedTasks
 	}
 	rt.tasks, rt.weights, rt.taskElems = kt, kw, ke
 	rt.maybeCompact()
-	return removed, removedTasks
+	return removed
 }
 
 // maybeCompact renumbers the element tables when dead slots outnumber

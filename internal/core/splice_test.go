@@ -29,10 +29,7 @@ func sinkOf(t *testing.T, rt *Router, name string) *tSink {
 
 func TestIncrementalSpliceRunsNewTenant(t *testing.T) {
 	rt := spliceTestRouter(t, "a_src :: TTask -> a_s :: TSink;")
-	s, err := NewScheduler(rt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewScheduler(rt)
 	for s.RunUntilIdle(1024) > 0 {
 	}
 	if got := len(sinkOf(t, rt, "a_s").got); got != 3 {
@@ -69,10 +66,7 @@ func TestIncrementalSpliceRunsNewTenant(t *testing.T) {
 
 func TestIncrementalRemoveByPrefixFreesNamespace(t *testing.T) {
 	rt := spliceTestRouter(t, "a_src :: TTask -> a_s :: TSink;")
-	s, err := NewScheduler(rt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewScheduler(rt)
 	s.SyncDo(func() {
 		if err := s.SpliceTenant(spliceTestRouter(t, "b_src :: TTask -> b_s :: TSink;")); err != nil {
 			t.Errorf("splice: %v", err)
@@ -114,10 +108,7 @@ func TestIncrementalRemoveByPrefixFreesNamespace(t *testing.T) {
 
 func TestIncrementalSwapAdoptsGuards(t *testing.T) {
 	rt := spliceTestRouter(t, "x_src :: TTask -> x_s :: TSink;")
-	s, err := NewScheduler(rt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewScheduler(rt)
 	subA := spliceTestRouter(t, "a_src :: TTask -> a_s :: TSink;")
 	s.SyncDo(func() {
 		if err := s.SpliceTenant(subA); err != nil {
@@ -151,10 +142,7 @@ func TestIncrementalSwapAdoptsGuards(t *testing.T) {
 
 func TestIncrementalChurnCompactsGraph(t *testing.T) {
 	rt := spliceTestRouter(t, "keep_src :: TTask -> keep_s :: TSink;")
-	s, err := NewScheduler(rt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewScheduler(rt)
 	high := 0
 	for round := 0; round < 32; round++ {
 		s.SyncDo(func() {

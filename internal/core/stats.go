@@ -9,16 +9,12 @@ import "sync/atomic"
 // cycle counter. The accounting never touches the simcpu cost model, so
 // attaching telemetry does not move the calibrated Figure 8/9 numbers.
 //
-// The counters run in one of two modes. In the default single-threaded
-// runtime they are plain adds. Before the parallel scheduler starts its
-// workers it arms shared mode on every element (see NewScheduler), and
-// all subsequent updates use atomic adds. Reads always go through
-// atomic loads, so handlers may sample a live parallel run.
+// The run loop's goroutine is the only writer, so updates are plain
+// adds. Reads go through atomic loads; a reader on another goroutine
+// samples a running router through Scheduler.SyncDo.
 
 // ElemStats holds one element's live counters.
 type ElemStats struct {
-	shared bool // armed before parallel workers start, then read-only
-
 	pktsIn   int64
 	bytesIn  int64
 	pktsOut  int64
@@ -27,49 +23,19 @@ type ElemStats struct {
 	cycles   int64
 }
 
-// EnableShared switches the counters to atomic updates. The parallel
-// scheduler arms shared mode only on elements its task-reach analysis
-// proves are touched by more than one task; a driver that pushes into
-// an element from its own goroutines (outside any scheduler) must arm
-// it here before the concurrency starts. There is no disarm: once
-// shared, always shared.
-func (s *ElemStats) EnableShared() { s.shared = true }
-
 func (s *ElemStats) addIn(pkts, bytes int64) {
-	if s.shared {
-		atomic.AddInt64(&s.pktsIn, pkts)
-		atomic.AddInt64(&s.bytesIn, bytes)
-		return
-	}
 	s.pktsIn += pkts
 	s.bytesIn += bytes
 }
 
 func (s *ElemStats) addOut(pkts, bytes int64) {
-	if s.shared {
-		atomic.AddInt64(&s.pktsOut, pkts)
-		atomic.AddInt64(&s.bytesOut, bytes)
-		return
-	}
 	s.pktsOut += pkts
 	s.bytesOut += bytes
 }
 
-func (s *ElemStats) addDrops(n int64) {
-	if s.shared {
-		atomic.AddInt64(&s.drops, n)
-		return
-	}
-	s.drops += n
-}
+func (s *ElemStats) addDrops(n int64) { s.drops += n }
 
-func (s *ElemStats) addCycles(c int64) {
-	if s.shared {
-		atomic.AddInt64(&s.cycles, c)
-		return
-	}
-	s.cycles += c
-}
+func (s *ElemStats) addCycles(c int64) { s.cycles += c }
 
 // Transplant copies o's counters into s, replacing whatever s held.
 // Hot-swap uses it to carry an element's telemetry across a

@@ -17,8 +17,8 @@ type TraceRecord struct {
 }
 
 // Tracer is a fixed-capacity ring buffer of trace records. Recording is
-// mutex-guarded so the parallel scheduler's workers can share it; the
-// ring bounds memory no matter how long the run.
+// mutex-guarded so Records can be read while the router runs; the ring
+// bounds memory no matter how long the run.
 type Tracer struct {
 	mu   sync.Mutex
 	recs []TraceRecord

@@ -75,8 +75,7 @@ func (e *Null) PullBatch(port int, buf []*packet.Packet) int {
 }
 
 // Counter counts passing packets and bytes. Counts are updated
-// atomically: a Counter may sit downstream of several scheduler
-// workers' task chains at once.
+// atomically so a driver may sample them from another goroutine.
 type Counter struct {
 	core.Base
 	Packets int64
@@ -130,19 +129,15 @@ func (e *Counter) PullBatch(port int, buf []*packet.Packet) int {
 }
 
 // Queue is the standard FIFO packet queue: push input, pull output,
-// tail drop when full. A Queue is the hand-off point between scheduler
-// tasks, so its ring is lock-free (pktRing): producers and consumers
-// share nothing but atomic cursors. EnableSync arms the conservative
-// multi-producer/multi-consumer CAS paths; the parallel scheduler's
-// graph analysis then calls HintConcurrency to relax either side back
-// to the CAS-free single-producer/single-consumer fast path when the
-// task structure proves it safe.
+// tail drop when full. It is the hand-off point between tasks — a
+// PollDevice task pushes, a ToDevice or Unqueue task pulls — all on the
+// run loop's goroutine. The ring pointer and the counters are atomic
+// because read handlers sample them from other goroutines while
+// traffic runs.
 type Queue struct {
 	core.Base
-	ring   atomic.Pointer[pktRing]
-	mpPush atomic.Bool // >1 pushing task: use the CAS producer path
-	mcPull atomic.Bool // >1 pulling task: use the CAS consumer path
-	Drops  int64
+	ring  atomic.Pointer[pktRing]
+	Drops int64
 	// Enqueued counts accepted packets; read and written atomically.
 	Enqueued int64
 	// HighWater tracks the maximum occupancy observed; read and written
@@ -154,22 +149,6 @@ type Queue struct {
 	// points — handler writes and hot-swap transplant — not against
 	// concurrent dataplane traffic.
 	structMu sync.Mutex
-}
-
-// EnableSync arms the multi-producer/multi-consumer ring paths for
-// multi-worker execution (core.Synchronizer).
-func (e *Queue) EnableSync() {
-	e.mpPush.Store(true)
-	e.mcPull.Store(true)
-}
-
-// HintConcurrency specializes the ring to the statically known number
-// of pushing and pulling tasks (core.ConcurrencyHinter): one producer
-// means plain cursor stores instead of CAS on the push side, and
-// likewise for one consumer on the pull side.
-func (e *Queue) HintConcurrency(producers, consumers int) {
-	e.mpPush.Store(producers > 1)
-	e.mcPull.Store(consumers > 1)
 }
 
 // DefaultQueueCapacity matches Click's default Queue length.
@@ -193,8 +172,8 @@ func (e *Queue) Configure(args []string) error {
 }
 
 // Len returns the current occupancy. The read is race-safe: two atomic
-// cursor loads, no lock, so read handlers can sample a queue that
-// parallel workers are actively pushing and pulling.
+// cursor loads, no lock, so read handlers can sample a queue the run
+// loop is actively pushing and pulling.
 func (e *Queue) Len() int { return e.ring.Load().len() }
 
 // Capacity returns the current capacity.
@@ -214,12 +193,12 @@ func (e *Queue) SetCapacity(n int) error {
 	next := newPktRing(n)
 	kept := 0
 	for {
-		p := old.pop(true)
+		p := old.pop()
 		if p == nil {
 			break
 		}
 		if kept < n {
-			next.push(p, false)
+			next.push(p)
 			kept++
 			continue
 		}
@@ -237,27 +216,22 @@ func (e *Queue) enqueue(p *packet.Packet) {
 	// here (normally a flow cache's record tap has already cleared it).
 	p.Anno.FlowPending = nil
 	r := e.ring.Load()
-	if !r.push(p, e.mpPush.Load()) {
+	if !r.push(p) {
 		// The drop count is atomic so the drops handler can sample it
-		// during a parallel run without racing.
+		// during a run without racing.
 		atomic.AddInt64(&e.Drops, 1)
 		e.Drop(p)
 		return
 	}
 	atomic.AddInt64(&e.Enqueued, 1)
 	if occ := int64(r.len()); occ > atomic.LoadInt64(&e.HighWater) {
-		for {
-			hw := atomic.LoadInt64(&e.HighWater)
-			if occ <= hw || atomic.CompareAndSwapInt64(&e.HighWater, hw, occ) {
-				break
-			}
-		}
+		atomic.StoreInt64(&e.HighWater, occ)
 	}
 }
 
 // dequeue removes the oldest packet, or nil when empty.
 func (e *Queue) dequeue() *packet.Packet {
-	return e.ring.Load().pop(e.mcPull.Load())
+	return e.ring.Load().pop()
 }
 
 // Push enqueues or tail-drops.
@@ -596,8 +570,7 @@ func (e *RED) Push(port int, p *packet.Packet) {
 		drop = e.rand() < frac*e.maxP
 	}
 	if drop {
-		// Atomic: RED may sit on several workers' push chains at once,
-		// and the drops handler samples the count live.
+		// Atomic: the drops handler samples the count live.
 		atomic.AddInt64(&e.Drops, 1)
 		e.Drop(p)
 		return

@@ -1,7 +1,6 @@
 package elements
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/packet"
@@ -45,45 +44,30 @@ func TestQueueBatch(t *testing.T) {
 	}
 }
 
-func TestQueueBatchConcurrent(t *testing.T) {
-	rt := buildRT(t, "i :: Idle -> q :: Queue(10000) -> x :: Idle;")
+// The ring's slot array is a power of two (8 here) but it must hold at
+// most the configured 5, and stay FIFO as the cursors wrap the array
+// many times over.
+func TestQueueWrapsInOrderAtLogicalCapacity(t *testing.T) {
+	rt := buildRT(t, "i :: Idle -> q :: Queue(5) -> x :: Idle;")
 	q := rt.Find("q").(*Queue)
-	q.EnableSync()
-	// This test drives the queue from its own goroutines with no
-	// scheduler in front, so it arms the telemetry itself.
-	q.Stats().EnableShared()
-	const producers, per = 4, 500
-	var wg sync.WaitGroup
-	for w := 0; w < producers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			batch := make([]*packet.Packet, 10)
-			for i := 0; i < per/10; i++ {
-				for j := range batch {
-					batch[j] = udpPacket(packet.MakeIP4(1, 1, 1, 1), packet.MakeIP4(2, 2, 2, 2))
-				}
-				q.PushBatch(0, batch)
-			}
-		}()
-	}
-	drained := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]*packet.Packet, 32)
-		for drained < producers*per {
-			n := q.PullBatch(0, buf)
-			for i := 0; i < n; i++ {
-				buf[i].Kill()
-			}
-			drained += n
+	next, want := 0, 0
+	for round := 0; round < 40; round++ {
+		for q.Len() < 5 {
+			q.Push(0, seqPacket(next))
+			next++
 		}
-	}()
-	wg.Wait()
-	<-done
-	if drained != producers*per {
-		t.Fatalf("drained %d of %d packets", drained, producers*per)
+		q.Push(0, seqPacket(9999)) // sixth packet: tail-dropped
+		if q.Len() != 5 || q.Drops != int64(round+1) {
+			t.Fatalf("round %d: len=%d drops=%d, want 5 and %d", round, q.Len(), q.Drops, round+1)
+		}
+		for k := 0; k < 3; k++ {
+			p := q.Pull(0)
+			if p == nil || seqOf(p) != want {
+				t.Fatalf("round %d: pulled %v, want seq %d", round, p, want)
+			}
+			p.Kill()
+			want++
+		}
 	}
 }
 

@@ -39,7 +39,6 @@ const (
 	costQueueEmptyCheck = 5
 	costTee             = 30
 	costStaticSwitch    = 12
-	costFlowSteer       = 28 // 5-tuple hash over 13 header bytes
 	costCounter         = 18
 	costDiscard         = 8
 	costNull            = 10

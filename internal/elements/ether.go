@@ -3,7 +3,6 @@ package elements
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -238,30 +237,10 @@ type ARPQuerier struct {
 	eth  packet.EtherAddr
 	tbl  map[packet.IP4]packet.EtherAddr
 	wait map[packet.IP4]*packet.Packet
-	// mu guards tbl and wait when the parallel scheduler armed it (IP
-	// traffic and ARP responses may arrive on different workers); in the
-	// single-threaded runtime it stays disabled and costs nothing.
-	mu      sync.Mutex
-	guarded bool
 	// Queries, Responses, and Drops instrument the element.
 	Queries   int64
 	Responses int64
 	Drops     int64
-}
-
-// EnableSync arms the table guard (core.Synchronizer).
-func (e *ARPQuerier) EnableSync() { e.guarded = true }
-
-func (e *ARPQuerier) lock() {
-	if e.guarded {
-		e.mu.Lock()
-	}
-}
-
-func (e *ARPQuerier) unlock() {
-	if e.guarded {
-		e.mu.Unlock()
-	}
 }
 
 // Configure accepts our IP and Ethernet addresses.
@@ -295,20 +274,17 @@ func (e *ARPQuerier) Push(port int, p *packet.Packet) {
 			next = ih.Dst()
 		}
 	}
-	e.lock()
 	if ea, ok := e.tbl[next]; ok {
-		e.unlock()
 		encapEther(p, packet.EtherTypeIP, e.eth, ea)
 		e.Output(0).Push(p)
 		return
 	}
 	// Unknown: hold the packet (replacing any previous) and query. The
 	// hold outlives this push, so any flow-recording mark dies here: the
-	// release happens on a later (possibly concurrent) response path.
+	// release happens on a later response path.
 	p.Anno.FlowPending = nil
 	old := e.wait[next]
 	e.wait[next] = p
-	e.unlock()
 	if old != nil {
 		atomic.AddInt64(&e.Drops, 1)
 		e.Drop(old)
@@ -340,18 +316,14 @@ func (e *ARPQuerier) PushBatch(port int, ps []*packet.Packet) {
 				next = ih.Dst()
 			}
 		}
-		e.lock()
 		ea, ok := e.tbl[next]
-		e.unlock()
 		if !ok {
 			// Miss: emit pending hits first so output order matches the
 			// scalar path, then take the hold-and-query path.
 			flush()
 			p.Anno.FlowPending = nil
-			e.lock()
 			old := e.wait[next]
 			e.wait[next] = p
-			e.unlock()
 			if old != nil {
 				atomic.AddInt64(&e.Drops, 1)
 				e.Drop(old)
@@ -391,13 +363,11 @@ func (e *ARPQuerier) handleResponse(p *packet.Packet) {
 	}
 	ip := ah.SenderIP()
 	eth := ah.SenderEther()
-	e.lock()
 	e.tbl[ip] = eth
 	held := e.wait[ip]
 	if held != nil {
 		delete(e.wait, ip)
 	}
-	e.unlock()
 	e.BumpGuard(core.GuardARP)
 	atomic.AddInt64(&e.Responses, 1)
 	// The response is consumed here; telemetry counts it against the
@@ -412,9 +382,7 @@ func (e *ARPQuerier) handleResponse(p *packet.Packet) {
 // InsertEntry preloads an ARP table mapping (the simulator uses this to
 // model an already-converged network).
 func (e *ARPQuerier) InsertEntry(ip packet.IP4, eth packet.EtherAddr) {
-	e.lock()
 	e.tbl[ip] = eth
-	e.unlock()
 	e.BumpGuard(core.GuardARP)
 }
 

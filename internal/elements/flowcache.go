@@ -20,9 +20,7 @@ import (
 // pushes the packet straight at the egress queue.
 //
 // Port layout for FlowCache(M, E): inputs 0..M-1 are ingress ports (one
-// per device feed, so parallel workers pinned to different devices by
-// FlowSteer-style affinity never share cache state — each ingress owns
-// a private shard touched only by its device's task chain); output i
+// per device feed, each owning a private shard); output i
 // mirrors ingress i into the slow path ("miss" output). Inputs
 // M..M+E-1 are record taps spliced into every edge that enters an
 // egress queue; output M+j passes tap traffic through to the queue and
@@ -63,8 +61,7 @@ type FlowCache struct {
 	nEgress  int
 	shards   []flowShard
 
-	// Counters are atomic: different ingress shards may run on
-	// different workers, and read handlers sample them live.
+	// Counters are atomic: read handlers sample them live.
 	Hits        int64
 	Misses      int64
 	Uncacheable int64
@@ -75,9 +72,7 @@ type FlowCache struct {
 	// recording is only trusted when exactly one tap traversal happened
 	// during the slow-path push — the marked packet itself — proving
 	// the pipeline emitted nothing else (no ICMP redirect, no ARP
-	// query) on the flow's behalf. Unrelated concurrent traffic can
-	// inflate the count under the parallel scheduler; that pins the
-	// flow uncacheable, which is conservative but never wrong.
+	// query) on the flow's behalf.
 	tapArrivals int64
 }
 
@@ -85,10 +80,7 @@ type FlowCache struct {
 // the cap stay on the slow path rather than evicting warm entries.
 const flowCacheMaxEntries = 8192
 
-// flowShard is the per-ingress cache state. Each shard is touched only
-// by the task chain that owns its ingress port (the scheduler's
-// exclusivity analysis pins a device's push chain to one task), so no
-// locking is needed even under the parallel scheduler.
+// flowShard is the per-ingress cache state.
 type flowShard struct {
 	entries map[flowKey]*flowEntry
 	pending *flowPending // active recording, non-nil only inside a slow-path push

@@ -114,11 +114,9 @@ func (e *LookupIPRoute) Handlers() []core.Handler {
 		intHandler("lookups", func() int64 { return e.Lookups }),
 		{Name: "table", Read: func() string {
 			out := ""
-			e.lock()
 			for _, r := range e.routes {
 				out += fmt.Sprintf("%08x/%d -> %s port %d\n", r.dst, r.maskLen, r.gw, r.port)
 			}
-			e.unlock()
 			return out
 		}},
 		{Name: "add", Write: e.AddRoute},
@@ -134,10 +132,7 @@ func (e *ARPQuerier) Handlers() []core.Handler {
 		intHandler("responses", func() int64 { return e.Responses }),
 		intHandler("drops", func() int64 { return e.Drops }),
 		intHandler("table_size", func() int64 {
-			e.lock()
-			n := len(e.tbl)
-			e.unlock()
-			return int64(n)
+			return int64(len(e.tbl))
 		}),
 		{Name: "insert", Write: func(v string) error {
 			fields := strings.Fields(v)

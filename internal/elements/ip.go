@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -141,26 +140,6 @@ type LookupIPRoute struct {
 	routes  []route
 	NoRoute int64
 	Lookups int64
-	// mu guards routes when the parallel scheduler armed it: the "add"
-	// and "remove" write handlers mutate the table while lookups may be
-	// running on other workers. Unarmed it costs one branch.
-	mu      sync.Mutex
-	guarded bool
-}
-
-// EnableSync arms the route-table guard (core.Synchronizer).
-func (e *LookupIPRoute) EnableSync() { e.guarded = true }
-
-func (e *LookupIPRoute) lock() {
-	if e.guarded {
-		e.mu.Lock()
-	}
-}
-
-func (e *LookupIPRoute) unlock() {
-	if e.guarded {
-		e.mu.Unlock()
-	}
 }
 
 // parseRouteArg parses one "ADDR/LEN [GW] PORT" route specification.
@@ -223,9 +202,7 @@ func (e *LookupIPRoute) AddRoute(arg string) error {
 	if err != nil {
 		return fmt.Errorf("LookupIPRoute: %v", err)
 	}
-	e.lock()
 	e.routes = append(e.routes, r)
-	e.unlock()
 	e.BumpGuard(core.GuardRoute)
 	return nil
 }
@@ -239,7 +216,6 @@ func (e *LookupIPRoute) RemoveRoute(arg string) error {
 	if err != nil {
 		return fmt.Errorf("LookupIPRoute: %v", err)
 	}
-	e.lock()
 	kept := e.routes[:0]
 	removed := 0
 	for _, have := range e.routes {
@@ -250,7 +226,6 @@ func (e *LookupIPRoute) RemoveRoute(arg string) error {
 		kept = append(kept, have)
 	}
 	e.routes = kept
-	e.unlock()
 	if removed == 0 {
 		return fmt.Errorf("LookupIPRoute: no route %s", strings.TrimSpace(arg))
 	}
@@ -277,7 +252,6 @@ func (e *LookupIPRoute) Lookup(a packet.IP4) (route, bool) {
 // Push routes on the destination annotation.
 func (e *LookupIPRoute) Push(port int, p *packet.Packet) {
 	e.Work()
-	e.lock()
 	e.Charge(int64(len(e.routes)) * costLookupPerRoute)
 	atomic.AddInt64(&e.Lookups, 1)
 	dst := p.Anno.DstIPAnno
@@ -287,7 +261,6 @@ func (e *LookupIPRoute) Push(port int, p *packet.Packet) {
 		}
 	}
 	r, ok := e.Lookup(dst)
-	e.unlock()
 	if !ok || r.port >= e.NOutputs() {
 		atomic.AddInt64(&e.NoRoute, 1)
 		e.Drop(p)

@@ -79,8 +79,6 @@ func Register(reg *core.Registry) {
 			Make: func() core.Element { return &Tee{} }, WorkCycles: costTee},
 		{Name: "StaticSwitch", Processing: "h/h", Ports: ports(graph.Exactly(1), graph.AtLeast(1)),
 			Make: func() core.Element { return &StaticSwitch{} }, WorkCycles: costStaticSwitch},
-		{Name: "FlowSteer", Processing: "h/h", Ports: ports(graph.Exactly(1), graph.AtLeast(1)),
-			Make: func() core.Element { return &FlowSteer{} }, WorkCycles: costFlowSteer},
 		{Name: "Switch", Processing: "h/h", Ports: ports(graph.Exactly(1), graph.AtLeast(1)),
 			Make: func() core.Element { return &Switch{} }, WorkCycles: costStaticSwitch},
 		{Name: "FlowCache", Processing: "h/h", Ports: flowCachePorts,

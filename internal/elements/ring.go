@@ -1,40 +1,24 @@
 package elements
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/packet"
 )
 
-// pktRing is the lock-free bounded FIFO behind Queue: a power-of-two
-// slot ring in the style of Vyukov's bounded MPMC queue, with per-slot
-// sequence numbers for publication and cache-line padding around the
-// producer and consumer cursors so pushers and pullers on different
-// cores do not false-share. Each side has a single-threaded fast path
-// (plain cursor store, no CAS) and a CAS path; the scheduler's graph
-// analysis picks per side, so a queue proven to have one pushing task
-// and one pulling task runs fully CAS-free (SPSC) while still being
-// safe across workers.
+// pktRing is the bounded FIFO behind Queue: a power-of-two slot ring
+// with one pusher and one puller, both on the run loop's goroutine. The
+// cursors are atomic only so that Len can be sampled by a handler on
+// another goroutine while traffic runs; the slots themselves are plain.
 //
-// Capacity semantics match the old mutexed ring exactly: the ring
-// holds at most `logical` packets (tail drop beyond that), even though
-// the slot array is rounded up to a power of two.
-type ringSlot struct {
-	seq atomic.Uint64
-	p   *packet.Packet
-	_   [48]byte // pad to a 64-byte cache line
-}
-
+// The ring holds at most `logical` packets (tail drop beyond that),
+// even though the slot array is rounded up to a power of two.
 type pktRing struct {
 	mask    uint64
 	logical uint64 // tail-drop threshold (<= len(slots))
-	slots   []ringSlot
-	_       [64]byte
+	slots   []*packet.Packet
 	head    atomic.Uint64 // next slot to consume
-	_       [56]byte
 	tail    atomic.Uint64 // next slot to fill
-	_       [56]byte
 }
 
 // newPktRing returns a ring holding at most capacity packets.
@@ -46,14 +30,12 @@ func newPktRing(capacity int) *pktRing {
 	for size < uint64(capacity) {
 		size <<= 1
 	}
-	r := &pktRing{mask: size - 1, logical: uint64(capacity), slots: make([]ringSlot, size)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r
+	return &pktRing{mask: size - 1, logical: uint64(capacity), slots: make([]*packet.Packet, size)}
 }
 
-// len returns the current occupancy (approximate under concurrency).
+// len returns the current occupancy. A sampler on another goroutine
+// reads the two cursors at different instants, so the difference is
+// clamped to what the ring can hold.
 func (r *pktRing) len() int {
 	t, h := r.tail.Load(), r.head.Load()
 	if t <= h {
@@ -67,84 +49,27 @@ func (r *pktRing) len() int {
 }
 
 // push adds p at the tail, or reports false when the ring is at
-// logical capacity (the caller tail-drops). mp selects the
-// multi-producer CAS path; with mp false the caller guarantees no
-// concurrent pusher (though a task migrating between workers is fine —
-// publication goes through the slot sequence atomics).
-func (r *pktRing) push(p *packet.Packet, mp bool) bool {
-	if !mp {
-		tail := r.tail.Load()
-		if tail-r.head.Load() >= r.logical {
-			return false
-		}
-		s := &r.slots[tail&r.mask]
-		// The capacity check proves the consumer has claimed this slot's
-		// previous occupant; spin out the narrow window where it has
-		// advanced head but not yet marked the slot free.
-		for s.seq.Load() != tail {
-			runtime.Gosched()
-		}
-		s.p = p
-		s.seq.Store(tail + 1) // publish to consumers
-		r.tail.Store(tail + 1)
-		return true
+// logical capacity (the caller tail-drops).
+func (r *pktRing) push(p *packet.Packet) bool {
+	tail := r.tail.Load()
+	if tail-r.head.Load() >= r.logical {
+		return false
 	}
-	for {
-		tail := r.tail.Load()
-		if tail-r.head.Load() >= r.logical {
-			return false
-		}
-		s := &r.slots[tail&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == tail:
-			if r.tail.CompareAndSwap(tail, tail+1) {
-				s.p = p
-				s.seq.Store(tail + 1)
-				return true
-			}
-		case seq < tail:
-			// Consumer mid-free; it will store the new sequence shortly.
-			runtime.Gosched()
-		}
-		// seq > tail: another producer won the slot; reload.
-	}
+	r.slots[tail&r.mask] = p
+	r.tail.Store(tail + 1)
+	return true
 }
 
 // pop removes and returns the packet at the head, or nil when the ring
-// is empty (including the transient state where a producer has claimed
-// a slot but not yet published it). mc selects the multi-consumer CAS
-// path.
-func (r *pktRing) pop(mc bool) *packet.Packet {
-	size := uint64(len(r.slots))
-	if !mc {
-		head := r.head.Load()
-		s := &r.slots[head&r.mask]
-		if s.seq.Load() != head+1 {
-			return nil
-		}
-		p := s.p
-		s.p = nil
-		s.seq.Store(head + size) // free the slot for producers
-		r.head.Store(head + 1)
-		return p
+// is empty.
+func (r *pktRing) pop() *packet.Packet {
+	head := r.head.Load()
+	if head == r.tail.Load() {
+		return nil
 	}
-	for {
-		head := r.head.Load()
-		s := &r.slots[head&r.mask]
-		seq := s.seq.Load()
-		if seq < head+1 {
-			return nil
-		}
-		if seq == head+1 {
-			if r.head.CompareAndSwap(head, head+1) {
-				p := s.p
-				s.p = nil
-				s.seq.Store(head + size)
-				return p
-			}
-			continue
-		}
-		// seq > head+1: another consumer advanced past us; reload.
-	}
+	s := &r.slots[head&r.mask]
+	p := *s
+	*s = nil
+	r.head.Store(head + 1)
+	return p
 }

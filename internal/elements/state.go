@@ -32,7 +32,7 @@ func (e *Queue) SaveState() interface{} {
 	r := e.ring.Load()
 	var ps []*packet.Packet
 	for {
-		p := r.pop(true)
+		p := r.pop()
 		if p == nil {
 			break
 		}
@@ -61,12 +61,12 @@ func (e *Queue) RestoreState(state interface{}) error {
 	atomic.StoreInt64(&e.HighWater, st.HighWater)
 	old := e.ring.Load()
 	next := newPktRing(int(old.logical))
-	for old.pop(true) != nil {
+	for old.pop() != nil {
 		// a fresh element's ring is empty; drain defensively
 	}
 	kept := int64(0)
 	for _, p := range st.Packets {
-		if !next.push(p, false) {
+		if !next.push(p) {
 			atomic.AddInt64(&e.Drops, 1)
 			e.Drop(p)
 			continue
@@ -118,8 +118,6 @@ type ARPState struct {
 // SaveState hands the table and held packets over, leaving the old
 // element with empty maps.
 func (e *ARPQuerier) SaveState() interface{} {
-	e.lock()
-	defer e.unlock()
 	st := &ARPState{
 		Table:     e.tbl,
 		Held:      e.wait,
@@ -141,7 +139,6 @@ func (e *ARPQuerier) RestoreState(state interface{}) error {
 	if !ok {
 		return fmt.Errorf("ARPQuerier: foreign state %T", state)
 	}
-	e.lock()
 	for ip, eth := range st.Table {
 		e.tbl[ip] = eth
 	}
@@ -152,7 +149,6 @@ func (e *ARPQuerier) RestoreState(state interface{}) error {
 		}
 		e.wait[ip] = p
 	}
-	e.unlock()
 	atomic.StoreInt64(&e.Queries, st.Queries)
 	atomic.StoreInt64(&e.Responses, st.Responses)
 	atomic.StoreInt64(&e.Drops, st.Drops)

@@ -8,26 +8,22 @@ import (
 	"repro/internal/core"
 )
 
-// TestWriteHandlersDuringParallelTraffic hammers state-restructuring
-// write handlers (Queue capacity, RED thresholds) from a second
-// goroutine while the free-running epoch scheduler forwards traffic on
-// two workers. The writes go through Scheduler.WriteHandler, which
-// rendezvouses the workers and applies the write at a quiescent point:
-// under -race this proves a control-plane write cannot land mid-epoch
-// and tear the ring swap inside Queue.SetCapacity or the RED threshold
+// TestWriteHandlersDuringTraffic hammers state-restructuring write
+// handlers (Queue capacity, RED thresholds) from a second goroutine
+// while the run loop forwards traffic. The writes go through
+// Scheduler.WriteHandler, which applies them between two rounds: under
+// -race this proves a control-plane write cannot land mid-round and
+// tear the ring swap inside Queue.SetCapacity or the RED threshold
 // fields, the conservation check proves no packet is lost or
 // double-counted across capacity swaps, and the guard check proves the
 // writes did not skip their GuardConfig invalidation bumps.
-func TestWriteHandlersDuringParallelTraffic(t *testing.T) {
+func TestWriteHandlersDuringTraffic(t *testing.T) {
 	const offered = 60000
 	cfg := fmt.Sprintf(
 		"src :: InfiniteSource(%d) -> red :: RED(50, 200, 1000) -> q :: Queue(128) -> u :: Unqueue -> d :: Discard;",
 		offered)
 	rt := buildRT(t, cfg)
-	s, err := core.NewScheduler(rt, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := core.NewScheduler(rt)
 
 	gen0 := rt.Guards().Load(core.GuardConfig)
 	const hammerWrites = 200

@@ -554,6 +554,10 @@ func All(w io.Writer) error {
 	return nil
 }
 
+// JSONPath, when non-empty, is where the wall-clock experiments also
+// write their results as JSON (set by cmd/click-bench -json).
+var JSONPath string
+
 // Experiments lists the available experiment names for cmd/click-bench.
 var Experiments = map[string]func(io.Writer) error{
 	"fastclassifier": FastClassifierCost,
@@ -565,8 +569,6 @@ var Experiments = map[string]func(io.Writer) error{
 	"fig12":          Fig12,
 	"fig13":          Fig13,
 	"ablation":       Ablation,
-	"parallel":       ParallelBench,
-	"scaling":        ScalingBench,
 	"adaptive":       AdaptiveBench,
 	"fusion":         FusionBench,
 	"flowcache":      FlowCacheBench,

@@ -7,22 +7,22 @@ import (
 )
 
 // TestIncrementalAdmissionUnderRace hammers the incremental control
-// path from many goroutines while a parallel dataplane pumps: each
-// worker owns a disjoint slice of tenant IDs and loops
+// path from many goroutines while the plane's pump runs: each
+// goroutine owns a disjoint slice of tenant IDs and loops
 // create → swap → delete against the live plane, with a long-lived
 // tenant forwarding throughout. Under -race this drives every splice,
-// transplant, and removal through SyncDo against the epoch scheduler,
+// transplant, and removal through SyncDo against the running loop,
 // plus the shared parse cache and intern table under the plane lock.
 // The survivors' conservation counters prove no operation corrupted a
 // neighbor.
 func TestIncrementalAdmissionUnderRace(t *testing.T) {
 	const (
-		workers = 4
+		hammers = 4
 		perWkr  = 3
 		rounds  = 8
 		perSrc  = 5000
 	)
-	p, err := NewPlane(Options{Workers: 2})
+	p, err := NewPlane(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestIncrementalAdmissionUnderRace(t *testing.T) {
 	defer p.Stop()
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < hammers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -75,7 +75,7 @@ func TestIncrementalAdmissionUnderRace(t *testing.T) {
 	}
 
 	rep := p.Report()
-	wantOps := int64(workers * rounds * perWkr)
+	wantOps := int64(hammers * rounds * perWkr)
 	if rep.Create.Count != wantOps+1 || rep.Swap.Count != wantOps || rep.Delete.Count != wantOps {
 		t.Errorf("op counts create=%d swap=%d delete=%d, want %d+1/%d/%d",
 			rep.Create.Count, rep.Swap.Count, rep.Delete.Count, wantOps, wantOps, wantOps)

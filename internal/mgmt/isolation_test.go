@@ -9,11 +9,11 @@ import (
 )
 
 // TestNTenantIsolationUnderRace runs many tenants through the live
-// pump on a parallel dataplane while control-plane goroutines hammer
-// each tenant's handlers and one tenant hot-swaps repeatedly. Under
-// -race this is the whole management seam at once: HTTP-equivalent
-// reads, budgeted capacity writes, per-tenant swaps, and the epoch
-// scheduler's rendezvous, all concurrent. The final conservation check
+// pump while control-plane goroutines hammer each tenant's handlers
+// and one tenant hot-swaps repeatedly. Under -race this is the whole
+// management seam at once: HTTP-equivalent reads, budgeted capacity
+// writes, per-tenant swaps, and SyncDo's round-boundary drain, all
+// concurrent. The final conservation check
 // per tenant proves no tenant's packets leaked into another's
 // counters.
 func TestNTenantIsolationUnderRace(t *testing.T) {
@@ -22,7 +22,7 @@ func TestNTenantIsolationUnderRace(t *testing.T) {
 		perSrc    = 20000
 		hammering = 40
 	)
-	p, err := NewPlane(Options{Workers: 2})
+	p, err := NewPlane(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,9 @@ type DeviceProvider func(tenant, device string) interface{}
 type Options struct {
 	// Registry resolves element classes; nil uses the builtin registry.
 	Registry *core.Registry
-	// Workers is the dataplane worker count (default 1). With more
-	// than one the combined router runs on the free-running epoch
-	// scheduler; control operations rendezvous through SyncDo.
+	// Workers must be 0 or 1: the dataplane is one run loop. The field
+	// is kept only because the frozen benchmark (bench/ctl.go) sets it
+	// to 1; the next benchmark-archetype PR is to remove it.
 	Workers int
 	// Burst is the router-wide batch size (0 or 1 = scalar).
 	Burst int
@@ -210,8 +210,8 @@ func NewPlane(opts Options) (*Plane, error) {
 	if opts.Registry == nil {
 		opts.Registry = elements.NewRegistry()
 	}
-	if opts.Workers < 1 {
-		opts.Workers = 1
+	if opts.Workers < 0 || opts.Workers > 1 {
+		return nil, fmt.Errorf("mgmt: Workers is %d, but the dataplane is one run loop (0 or 1)", opts.Workers)
 	}
 	opts.Limits = opts.Limits.withDefaults()
 	p := &Plane{
@@ -226,10 +226,7 @@ func NewPlane(opts Options) (*Plane, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.sched, err = core.NewScheduler(rt, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
+	p.sched = core.NewScheduler(rt)
 	return p, nil
 }
 

@@ -44,6 +44,19 @@ func drain(p *Plane) {
 	}
 }
 
+// The dataplane is one run loop: a worker count above one is rejected,
+// not silently ignored; 0 and 1 (what the benchmark sets) are accepted.
+func TestNewPlaneRejectsWorkers(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		if _, err := NewPlane(Options{Workers: n}); err != nil {
+			t.Errorf("Workers %d: %v", n, err)
+		}
+	}
+	if _, err := NewPlane(Options{Workers: 2}); err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Errorf("Workers 2: err = %v, want a rejection naming Workers", err)
+	}
+}
+
 func TestTenantLifecycle(t *testing.T) {
 	p, err := NewPlane(Options{})
 	if err != nil {

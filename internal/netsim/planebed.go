@@ -22,8 +22,8 @@ import (
 
 // PlaneDevice is one tenant interface: a scripted RX queue and a
 // counting (optionally capturing) TX sink. It is safe for concurrent
-// use — the dataplane workers dequeue/enqueue while the test injects
-// and inspects.
+// use — the plane's pump dequeues/enqueues while the test injects and
+// inspects.
 type PlaneDevice struct {
 	name    string
 	capture bool
@@ -101,9 +101,8 @@ func (d *PlaneDevice) Captured() [][]byte {
 
 // PlaneBedOptions configure a plane testbed.
 type PlaneBedOptions struct {
-	// Workers and Burst configure the plane's dataplane.
-	Workers int
-	Burst   int
+	// Burst is the plane's router-wide batch size.
+	Burst int
 	// FullRebuild and NoShare select the plane's baseline modes.
 	FullRebuild bool
 	NoShare     bool
@@ -130,7 +129,6 @@ type PlaneBed struct {
 func NewPlaneBed(o PlaneBedOptions) (*PlaneBed, error) {
 	b := &PlaneBed{devs: map[string]*PlaneDevice{}, opts: o}
 	p, err := mgmt.NewPlane(mgmt.Options{
-		Workers:     o.Workers,
 		Burst:       o.Burst,
 		FullRebuild: o.FullRebuild,
 		NoShare:     o.NoShare,

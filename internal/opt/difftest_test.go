@@ -1,14 +1,13 @@
 package opt
 
 // Differential behavior-preservation harness: every optimizer pass, and
-// every runtime execution mode (scalar, batched, parallel), must leave
-// a router's observable behavior untouched — identical per-output-port
-// packet sequences for the same input trace. The harness generates
-// random push-mode configurations, replays a deterministic trace
-// through the unmodified router and through each transformed or
-// batched/parallel variant, and compares transmitted packets byte for
-// byte. It doubles as the correctness oracle for the batch transfer
-// path and the work-stealing scheduler.
+// every runtime execution mode (scalar, batched), must leave a router's
+// observable behavior untouched — identical per-output-port packet
+// sequences for the same input trace. The harness generates random
+// push-mode configurations, replays a deterministic trace through the
+// unmodified router and through each transformed or batched variant,
+// and compares transmitted packets byte for byte. It doubles as the
+// correctness oracle for the batch transfer path.
 
 import (
 	"bytes"
@@ -140,11 +139,11 @@ var diffPasses = []struct {
 
 // diffRun parses the configuration, optionally applies a pass, builds
 // the router over fake devices eth0..eth<ndev-1> with the given burst,
-// replays the trace into eth0, runs to idle (on `workers` scheduler
-// workers), and returns each device's transmitted payload sequence.
+// replays the trace into eth0, runs to idle, and returns each device's
+// transmitted payload sequence.
 func diffRun(t *testing.T, text string, ndev int,
 	pass func(*graph.Router, *core.Registry) error,
-	burst, workers int, ifs []iprouter.Interface, trace []*packet.Packet) map[string][][]byte {
+	burst int, ifs []iprouter.Interface, trace []*packet.Packet) map[string][][]byte {
 	t.Helper()
 	g, err := lang.ParseRouter(text, "difftest")
 	if err != nil {
@@ -174,13 +173,7 @@ func diffRun(t *testing.T, text string, ndev int,
 	for _, p := range trace {
 		devs["eth0"].rx = append(devs["eth0"].rx, p.Clone())
 	}
-	if workers > 1 {
-		if _, err := rt.RunParallelUntilIdle(workers, 100000); err != nil {
-			t.Fatalf("parallel run: %v", err)
-		}
-	} else {
-		rt.RunUntilIdle(100000)
-	}
+	rt.RunUntilIdle(100000)
 	out := map[string][][]byte{}
 	for name, d := range devs {
 		seq := make([][]byte, 0, len(d.tx))
@@ -213,16 +206,13 @@ func diffCompare(t *testing.T, label string, want, got map[string][][]byte) {
 }
 
 // diffModes are the runtime execution modes checked against the scalar
-// single-worker baseline.
+// baseline.
 var diffModes = []struct {
-	name    string
-	burst   int
-	workers int
+	name  string
+	burst int
 }{
-	{"batch8", 8, 1},
-	{"batch32", 32, 1},
-	{"parallel2", 0, 2},
-	{"parallel2batch8", 8, 2},
+	{"batch8", 8},
+	{"batch32", 32},
 }
 
 // TestDifferentialRandomConfigs replays a deterministic trace through
@@ -237,7 +227,7 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 			text, sinks := randomPushConfig(seed)
 			ndev := sinks + 1
 			trace := diffTrace(seed, npkts)
-			base := diffRun(t, text, ndev, nil, 0, 1, nil, trace)
+			base := diffRun(t, text, ndev, nil, 0, nil, trace)
 			total := 0
 			for _, seq := range base {
 				total += len(seq)
@@ -246,11 +236,11 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 				t.Fatalf("seed %d forwarded nothing:\n%s", seed, text)
 			}
 			for _, p := range diffPasses {
-				got := diffRun(t, text, ndev, p.apply, 0, 1, nil, trace)
+				got := diffRun(t, text, ndev, p.apply, 0, nil, trace)
 				diffCompare(t, p.name, base, got)
 			}
 			for _, m := range diffModes {
-				got := diffRun(t, text, ndev, nil, m.burst, m.workers, nil, trace)
+				got := diffRun(t, text, ndev, nil, m.burst, nil, trace)
 				diffCompare(t, m.name, base, got)
 			}
 		})
@@ -282,20 +272,20 @@ func TestDifferentialIPRouter(t *testing.T) {
 	ifs := iprouter.Interfaces(2)
 	text := iprouter.Config(ifs)
 	trace := ipTrace(ifs, 80)
-	base := diffRun(t, text, 2, nil, 0, 1, ifs, trace)
+	base := diffRun(t, text, 2, nil, 0, ifs, trace)
 	if len(base["eth1"]) == 0 {
 		t.Fatal("baseline IP router forwarded nothing")
 	}
 	for _, p := range diffPasses {
-		got := diffRun(t, text, 2, p.apply, 0, 1, ifs, trace)
+		got := diffRun(t, text, 2, p.apply, 0, ifs, trace)
 		diffCompare(t, p.name, base, got)
 	}
 	// All passes together, then each execution mode over that fully
 	// optimized router.
-	got := diffRun(t, text, 2, applyAllPasses, 0, 1, ifs, trace)
+	got := diffRun(t, text, 2, applyAllPasses, 0, ifs, trace)
 	diffCompare(t, "all", base, got)
 	for _, m := range diffModes {
-		got := diffRun(t, text, 2, applyAllPasses, m.burst, m.workers, ifs, trace)
+		got := diffRun(t, text, 2, applyAllPasses, m.burst, ifs, trace)
 		diffCompare(t, "all+"+m.name, base, got)
 	}
 }
@@ -321,7 +311,7 @@ func applyAllPasses(g *graph.Router, reg *core.Registry) error {
 // packet identical to a run that never swapped.
 func diffRunSwap(t *testing.T, text string, ndev int,
 	pass func(*graph.Router, *core.Registry) error,
-	swapAfter, workers int, ifs []iprouter.Interface, trace []*packet.Packet) map[string][][]byte {
+	swapAfter int, ifs []iprouter.Interface, trace []*packet.Packet) map[string][][]byte {
 	t.Helper()
 	g1, err := lang.ParseRouter(text, "difftest")
 	if err != nil {
@@ -345,10 +335,7 @@ func diffRunSwap(t *testing.T, text string, ndev int,
 	for _, p := range trace {
 		devs["eth0"].rx = append(devs["eth0"].rx, p.Clone())
 	}
-	s, err := core.NewScheduler(rt1, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := core.NewScheduler(rt1)
 	for i := 0; i < swapAfter; i++ {
 		s.RunRound()
 	}
@@ -386,28 +373,24 @@ func diffRunSwap(t *testing.T, text string, ndev int,
 }
 
 // TestDifferentialHotswapIPRouter: hot-swapping the IP router to its
-// fully optimized variant mid-trace — on the scalar and on the parallel
-// scheduler, at several swap points — must preserve the transmitted
-// packet sequences exactly.
+// fully optimized variant mid-trace, at several swap points, must
+// preserve the transmitted packet sequences exactly.
 func TestDifferentialHotswapIPRouter(t *testing.T) {
 	ifs := iprouter.Interfaces(2)
 	text := iprouter.Config(ifs)
 	trace := ipTrace(ifs, 80)
-	base := diffRun(t, text, 2, nil, 0, 1, ifs, trace)
+	base := diffRun(t, text, 2, nil, 0, ifs, trace)
 	if len(base["eth1"]) == 0 {
 		t.Fatal("baseline IP router forwarded nothing")
 	}
-	for _, workers := range []int{1, 2} {
-		for _, swapAfter := range []int{1, 3, 10} {
-			got := diffRunSwap(t, text, 2, applyAllPasses, swapAfter, workers, ifs, trace)
-			diffCompare(t, fmt.Sprintf("hotswap-w%d-after%d", workers, swapAfter), base, got)
-		}
+	for _, swapAfter := range []int{1, 3, 10} {
+		got := diffRunSwap(t, text, 2, applyAllPasses, swapAfter, ifs, trace)
+		diffCompare(t, fmt.Sprintf("hotswap-after%d", swapAfter), base, got)
 	}
 }
 
 // TestDifferentialHotswapRandomConfigs: mid-trace hot-swap across the
-// random configuration corpus, against each optimizer pass, scalar and
-// parallel.
+// random configuration corpus, against each optimizer pass.
 func TestDifferentialHotswapRandomConfigs(t *testing.T) {
 	const npkts = 60
 	for seed := int64(1); seed <= 6; seed++ {
@@ -416,12 +399,10 @@ func TestDifferentialHotswapRandomConfigs(t *testing.T) {
 			text, sinks := randomPushConfig(seed)
 			ndev := sinks + 1
 			trace := diffTrace(seed, npkts)
-			base := diffRun(t, text, ndev, nil, 0, 1, nil, trace)
+			base := diffRun(t, text, ndev, nil, 0, nil, trace)
 			for _, p := range diffPasses {
-				for _, workers := range []int{1, 2} {
-					got := diffRunSwap(t, text, ndev, p.apply, 2, workers, nil, trace)
-					diffCompare(t, fmt.Sprintf("hotswap-%s-w%d", p.name, workers), base, got)
-				}
+				got := diffRunSwap(t, text, ndev, p.apply, 2, nil, trace)
+				diffCompare(t, "hotswap-"+p.name, base, got)
 			}
 		})
 	}

@@ -193,7 +193,7 @@ func TestFlowCacheHitsAndEquality(t *testing.T) {
 	ifs := iprouter.Interfaces(3)
 	text := iprouter.Config(ifs)
 	trace := flowTrace(ifs, 8, 240)
-	base := diffRun(t, text, 3, nil, 0, 1, ifs, trace)
+	base := diffRun(t, text, 3, nil, 0, ifs, trace)
 	if len(base["eth1"]) == 0 || len(base["eth2"]) == 0 {
 		t.Fatal("baseline forwarded nothing")
 	}
@@ -226,13 +226,13 @@ func TestFlowCacheHitsAndEquality(t *testing.T) {
 }
 
 // TestDifferentialFlowCacheModes: cached-vs-uncached equality must hold
-// with real cache hits in every execution mode (batching, parallel
-// scheduling) and stacked on the full optimizer chain.
+// with real cache hits in every execution mode (scalar, batched) and
+// stacked on the full optimizer chain.
 func TestDifferentialFlowCacheModes(t *testing.T) {
 	ifs := iprouter.Interfaces(2)
 	text := iprouter.Config(ifs)
 	trace := flowTrace(ifs, 6, 120)
-	base := diffRun(t, text, 2, nil, 0, 1, ifs, trace)
+	base := diffRun(t, text, 2, nil, 0, ifs, trace)
 	if len(base["eth1"]) == 0 {
 		t.Fatal("baseline forwarded nothing")
 	}
@@ -242,14 +242,14 @@ func TestDifferentialFlowCacheModes(t *testing.T) {
 		}
 		return InstallFlowCache(g, reg)
 	}
-	got := diffRun(t, text, 2, flowCachePass, 0, 1, ifs, trace)
+	got := diffRun(t, text, 2, flowCachePass, 0, ifs, trace)
 	diffCompare(t, "flowcache-scalar", base, got)
-	got = diffRun(t, text, 2, allPlusFlow, 0, 1, ifs, trace)
+	got = diffRun(t, text, 2, allPlusFlow, 0, ifs, trace)
 	diffCompare(t, "flowcache-allpasses", base, got)
 	for _, m := range diffModes {
-		got := diffRun(t, text, 2, flowCachePass, m.burst, m.workers, ifs, trace)
+		got := diffRun(t, text, 2, flowCachePass, m.burst, ifs, trace)
 		diffCompare(t, "flowcache-"+m.name, base, got)
-		got = diffRun(t, text, 2, allPlusFlow, m.burst, m.workers, ifs, trace)
+		got = diffRun(t, text, 2, allPlusFlow, m.burst, ifs, trace)
 		diffCompare(t, "flowcache-allpasses-"+m.name, base, got)
 	}
 }
@@ -358,7 +358,7 @@ func TestFlowCacheHotswapZipf(t *testing.T) {
 	ifs := iprouter.Interfaces(3)
 	text := iprouter.Config(ifs)
 	trace := zipfTrace(ifs, 7, 64, 600)
-	base := diffRun(t, text, 3, nil, 0, 1, ifs, trace)
+	base := diffRun(t, text, 3, nil, 0, ifs, trace)
 	total := 0
 	for _, seq := range base {
 		total += len(seq)
@@ -366,70 +366,66 @@ func TestFlowCacheHotswapZipf(t *testing.T) {
 	if total == 0 {
 		t.Fatal("baseline forwarded nothing")
 	}
-	for _, workers := range []int{1, 2} {
-		for _, swapAfter := range []int{3, 10} {
-			label := fmt.Sprintf("w%d-after%d", workers, swapAfter)
-			devs := map[string]*fakeDevice{}
-			env := map[string]interface{}{}
-			for i := 0; i < 3; i++ {
-				name := fmt.Sprintf("eth%d", i)
-				d := &fakeDevice{name: name}
-				devs[name] = d
-				env["device:"+name] = d
-			}
-			build := func() *core.Router {
-				g, err := lang.ParseRouter(text, "flowswap")
-				if err != nil {
-					t.Fatal(err)
-				}
-				reg := elements.NewRegistry()
-				if err := InstallFlowCache(g, reg); err != nil {
-					t.Fatal(err)
-				}
-				rt, err := core.Build(g, reg, core.BuildOptions{Env: env})
-				if err != nil {
-					t.Fatalf("%s: build: %v", label, err)
-				}
-				return rt
-			}
-			rt1 := build()
-			warmARP(rt1, ifs)
-			for _, p := range trace {
-				devs["eth0"].rx = append(devs["eth0"].rx, p.Clone())
-			}
-			s, err := core.NewScheduler(rt1, workers)
+	for _, swapAfter := range []int{3, 10} {
+		label := fmt.Sprintf("after%d", swapAfter)
+		devs := map[string]*fakeDevice{}
+		env := map[string]interface{}{}
+		for i := 0; i < 3; i++ {
+			name := fmt.Sprintf("eth%d", i)
+			d := &fakeDevice{name: name}
+			devs[name] = d
+			env["device:"+name] = d
+		}
+		build := func() *core.Router {
+			g, err := lang.ParseRouter(text, "flowswap")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < swapAfter; i++ {
-				s.RunRound()
+			reg := elements.NewRegistry()
+			if err := InstallFlowCache(g, reg); err != nil {
+				t.Fatal(err)
 			}
-			rt2 := build() // ARP state transplants; do not re-warm
-			s.SyncDo(func() { err = s.Hotswap(rt2) })
+			rt, err := core.Build(g, reg, core.BuildOptions{Env: env})
 			if err != nil {
-				t.Fatalf("%s: hotswap: %v", label, err)
+				t.Fatalf("%s: build: %v", label, err)
 			}
-			for rounds := 0; rounds < 100000 && s.RunRound(); rounds++ {
+			return rt
+		}
+		rt1 := build()
+		warmARP(rt1, ifs)
+		for _, p := range trace {
+			devs["eth0"].rx = append(devs["eth0"].rx, p.Clone())
+		}
+		s := core.NewScheduler(rt1)
+		for i := 0; i < swapAfter; i++ {
+			s.RunRound()
+		}
+		rt2 := build() // ARP state transplants; do not re-warm
+		var err error
+		s.SyncDo(func() { err = s.Hotswap(rt2) })
+		if err != nil {
+			t.Fatalf("%s: hotswap: %v", label, err)
+		}
+		for rounds := 0; rounds < 100000 && s.RunRound(); rounds++ {
+		}
+		got := map[string][][]byte{}
+		for name, d := range devs {
+			seq := make([][]byte, 0, len(d.tx))
+			for _, p := range d.tx {
+				seq = append(seq, append([]byte(nil), p.Data()...))
 			}
-			got := map[string][][]byte{}
-			for name, d := range devs {
-				seq := make([][]byte, 0, len(d.tx))
-				for _, p := range d.tx {
-					seq = append(seq, append([]byte(nil), p.Data()...))
-				}
-				got[name] = seq
-			}
-			diffCompare(t, label, base, got)
-			fc2, _ := rt2.Find("flow_cache").(*elements.FlowCache)
-			if fc2 == nil {
-				t.Fatalf("%s: replacement router lost its FlowCache", label)
-			}
-			if swapAfter >= 10 && fc2.SwapDemoted == 0 {
-				t.Errorf("%s: no entries transplanted across the swap", label)
-			}
-			if fc2.Hits == 0 {
-				t.Errorf("%s: fast path never re-engaged after the swap", label)
-			}
+			got[name] = seq
+		}
+		diffCompare(t, label, base, got)
+		fc2, _ := rt2.Find("flow_cache").(*elements.FlowCache)
+		if fc2 == nil {
+			t.Fatalf("%s: replacement router lost its FlowCache", label)
+		}
+		if swapAfter >= 10 && fc2.SwapDemoted == 0 {
+			t.Errorf("%s: no entries transplanted across the swap", label)
+		}
+		if fc2.Hits == 0 {
+			t.Errorf("%s: fast path never re-engaged after the swap", label)
 		}
 	}
 }

@@ -154,7 +154,7 @@ func TestFuseAfterArchiveInstall(t *testing.T) {
 	ifs := iprouter.Interfaces(2)
 	text := fuseChainConfig(ifs, fuseTransitFirewall())
 	trace := ipTrace(ifs, 60)
-	base := diffRun(t, text, 2, nil, 0, 1, ifs, trace)
+	base := diffRun(t, text, 2, nil, 0, ifs, trace)
 	if len(base["eth1"]) == 0 {
 		t.Fatal("baseline forwarded nothing")
 	}
@@ -244,7 +244,7 @@ func TestFusePassOrdering(t *testing.T) {
 	ifs := iprouter.Interfaces(2)
 	text := fuseChainConfig(ifs, fuseTransitFirewall())
 	trace := ipTrace(ifs, 80)
-	base := diffRun(t, text, 2, nil, 0, 1, ifs, trace)
+	base := diffRun(t, text, 2, nil, 0, ifs, trace)
 	if len(base["eth1"]) == 0 {
 		t.Fatal("baseline forwarded nothing")
 	}
@@ -275,10 +275,10 @@ func TestFusePassOrdering(t *testing.T) {
 		}},
 	}
 	for _, o := range orders {
-		got := diffRun(t, text, 2, o.apply, 0, 1, ifs, trace)
+		got := diffRun(t, text, 2, o.apply, 0, ifs, trace)
 		diffCompare(t, o.name, base, got)
 		for _, m := range diffModes {
-			got := diffRun(t, text, 2, o.apply, m.burst, m.workers, ifs, trace)
+			got := diffRun(t, text, 2, o.apply, m.burst, ifs, trace)
 			diffCompare(t, o.name+"+"+m.name, base, got)
 		}
 	}
@@ -322,8 +322,7 @@ func fuseRandomRules(r *rand.Rand, n int) []string {
 // issue: for each seed, build a random classification chain (random
 // IPFilter rules, an IPClassifier, a StaticSwitch), pair the fused and
 // unfused routers, and assert identical output port and packet bytes
-// for the whole trace — in scalar mode and across the batch/parallel
-// matrix.
+// for the whole trace — in scalar mode and across the batch matrix.
 func TestFusePropertyEquivalence(t *testing.T) {
 	const nseeds = 8
 	npkts := 500
@@ -337,7 +336,7 @@ func TestFusePropertyEquivalence(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			text := fuseChainConfig(ifs, fuseRandomRules(r, 2+r.Intn(10)))
 			trace := fusePropertyTrace(r, ifs, npkts)
-			base := diffRun(t, text, 2, nil, 0, 1, ifs, trace)
+			base := diffRun(t, text, 2, nil, 0, ifs, trace)
 			if len(base["eth1"]) == 0 {
 				t.Fatalf("seed %d forwarded nothing:\n%s", seed, text)
 			}
@@ -350,12 +349,12 @@ func TestFusePropertyEquivalence(t *testing.T) {
 					return fmt.Errorf("nothing fused")
 				}
 				return nil
-			}, 0, 1, ifs, trace)
+			}, 0, ifs, trace)
 			diffCompare(t, "fused", base, fused)
 			for _, m := range diffModes {
 				got := diffRun(t, text, 2, func(g *graph.Router, reg *core.Registry) error {
 					return Fuse(g, reg)
-				}, m.burst, m.workers, ifs, trace)
+				}, m.burst, ifs, trace)
 				diffCompare(t, "fused+"+m.name, base, got)
 			}
 		})

@@ -101,10 +101,10 @@ func FuzzFuse(f *testing.F) {
 
 		trace := diffTrace(7, 24)
 		trace = append(trace, packet.New(append([]byte(nil), raw...)))
-		base := diffRun(t, text, sinks+1, nil, 1, 1, nil, trace)
+		base := diffRun(t, text, sinks+1, nil, 1, nil, trace)
 		fused := diffRun(t, text, sinks+1,
 			func(g *graph.Router, reg *core.Registry) error { return Fuse(g, reg) },
-			1, 1, nil, trace)
+			1, nil, trace)
 		diffCompare(t, "fuse", base, fused)
 	})
 }

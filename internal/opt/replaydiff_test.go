@@ -50,7 +50,7 @@ func loadTrace(t *testing.T, path string) []pktio.Record {
 // idle, and returns each device's raw capture stream.
 func replayRun(t *testing.T, text string, ndev int,
 	pass func(*graph.Router, *core.Registry) error,
-	burst, workers int, ifs []iprouter.Interface, recs []pktio.Record) map[string][]byte {
+	burst int, ifs []iprouter.Interface, recs []pktio.Record) map[string][]byte {
 	t.Helper()
 	g, err := lang.ParseRouter(text, "replaydiff")
 	if err != nil {
@@ -85,13 +85,7 @@ func replayRun(t *testing.T, text string, ndev int,
 	if ifs != nil {
 		warmARP(rt, ifs)
 	}
-	if workers > 1 {
-		if _, err := rt.RunParallelUntilIdle(workers, 100000); err != nil {
-			t.Fatalf("parallel run: %v", err)
-		}
-	} else {
-		rt.RunUntilIdle(100000)
-	}
+	rt.RunUntilIdle(100000)
 	out := map[string][]byte{}
 	for name, buf := range bufs {
 		out[name] = buf.Bytes()
@@ -173,7 +167,7 @@ func TestReplayGoldenIPRouter8(t *testing.T) {
 	ifs := iprouter.Interfaces(8)
 	recs := loadTrace(t, ipMixedTrace)
 
-	base := replayRun(t, text, 8, nil, 0, 1, ifs, recs)
+	base := replayRun(t, text, 8, nil, 0, ifs, recs)
 	baseFrames := 0
 	for dev, capt := range base {
 		rs, err := pktio.ReadPcap(bytes.NewReader(capt))
@@ -193,12 +187,11 @@ func TestReplayGoldenIPRouter8(t *testing.T) {
 	}{{"none", nil}}, diffPasses...)
 	for _, p := range passes {
 		for _, m := range append([]struct {
-			name    string
-			burst   int
-			workers int
-		}{{"scalar", 0, 1}}, diffModes...) {
+			name  string
+			burst int
+		}{{"scalar", 0}}, diffModes...) {
 			label := fmt.Sprintf("iprouter8-%s-%s", p.name, m.name)
-			got := replayRun(t, text, 8, p.apply, m.burst, m.workers, ifs, recs)
+			got := replayRun(t, text, 8, p.apply, m.burst, ifs, recs)
 			replayCompare(t, label, base, got)
 		}
 	}
@@ -214,7 +207,7 @@ func TestReplayGoldenRandomConfigs(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			text, sinks := randomPushConfig(seed)
 			ndev := sinks + 1
-			base := replayRun(t, text, ndev, nil, 0, 1, nil, recs)
+			base := replayRun(t, text, ndev, nil, 0, nil, recs)
 			total := 0
 			for _, capt := range base {
 				rs, _ := pktio.ReadPcap(bytes.NewReader(capt))
@@ -224,11 +217,11 @@ func TestReplayGoldenRandomConfigs(t *testing.T) {
 				t.Fatalf("seed %d forwarded nothing:\n%s", seed, text)
 			}
 			for _, p := range diffPasses {
-				got := replayRun(t, text, ndev, p.apply, 0, 1, nil, recs)
+				got := replayRun(t, text, ndev, p.apply, 0, nil, recs)
 				replayCompare(t, "seed-"+p.name, base, got)
 			}
 			for _, m := range diffModes {
-				got := replayRun(t, text, ndev, nil, m.burst, m.workers, nil, recs)
+				got := replayRun(t, text, ndev, nil, m.burst, nil, recs)
 				replayCompare(t, "seed-"+m.name, base, got)
 			}
 		})
@@ -236,9 +229,7 @@ func TestReplayGoldenRandomConfigs(t *testing.T) {
 }
 
 // replayRunAggregate is replayRun with one shared capture sink across
-// every device — the `click -backend pcap -pcap-out file` shape. The
-// aggregate interleave is only deterministic on the scalar scheduler,
-// which is what the CLI acceptance path runs.
+// every device — the `click -backend pcap -pcap-out file` shape.
 func replayRunAggregate(t *testing.T, text string, ndev int,
 	pass func(*graph.Router, *core.Registry) error,
 	ifs []iprouter.Interface, recs []pktio.Record) []byte {

@@ -94,7 +94,7 @@ func checkConservation(t *testing.T, label string, rt *core.Router) {
 // telemetryRun builds the 2-interface IP router (optionally optimized),
 // replays transit traffic, and returns the drained router.
 func telemetryRun(t *testing.T, pass func(*graph.Router, *core.Registry) error,
-	burst, workers, npkts int) (*core.Router, []iprouter.Interface) {
+	burst, npkts int) (*core.Router, []iprouter.Interface) {
 	t.Helper()
 	ifs := iprouter.Interfaces(2)
 	g, err := lang.ParseRouter(iprouter.Config(ifs), "telemetry")
@@ -123,13 +123,7 @@ func telemetryRun(t *testing.T, pass func(*graph.Router, *core.Registry) error,
 	for _, p := range ipTrace(ifs, npkts) {
 		devs["eth0"].rx = append(devs["eth0"].rx, p)
 	}
-	if workers > 1 {
-		if _, err := rt.RunParallelUntilIdle(workers, 100000); err != nil {
-			t.Fatalf("parallel run: %v", err)
-		}
-	} else {
-		rt.RunUntilIdle(100000)
-	}
+	rt.RunUntilIdle(100000)
 	if got := len(devs["eth1"].tx); got == 0 {
 		t.Fatal("router forwarded nothing")
 	}
@@ -154,23 +148,20 @@ func allPasses(g *graph.Router, reg *core.Registry) error {
 // conservation law packets_in == packets_out + drops.
 func TestTelemetryConservation(t *testing.T) {
 	modes := []struct {
-		name    string
-		burst   int
-		workers int
+		name  string
+		burst int
 	}{
-		{"scalar", 0, 1},
-		{"batch8", 8, 1},
-		{"batch32", 32, 1},
-		{"parallel2", 0, 2},
-		{"parallel2batch8", 8, 2},
+		{"scalar", 0},
+		{"batch8", 8},
+		{"batch32", 32},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			rt, _ := telemetryRun(t, nil, m.burst, m.workers, 200)
+			rt, _ := telemetryRun(t, nil, m.burst, 200)
 			checkConservation(t, "plain/"+m.name, rt)
 		})
 		t.Run(m.name+"+opt", func(t *testing.T) {
-			rt, _ := telemetryRun(t, allPasses, m.burst, m.workers, 200)
+			rt, _ := telemetryRun(t, allPasses, m.burst, 200)
 			checkConservation(t, "opt/"+m.name, rt)
 		})
 	}
@@ -187,7 +178,7 @@ func TestStatsHandlersSurvivePasses(t *testing.T) {
 	handlers := []string{"packets_in", "bytes_in", "packets_out", "bytes_out", "drops", "cycles"}
 	for _, p := range passes {
 		t.Run(p.name, func(t *testing.T) {
-			rt, _ := telemetryRun(t, p.apply, 0, 1, 50)
+			rt, _ := telemetryRun(t, p.apply, 0, 50)
 			anyIn := false
 			for _, i := range rt.Graph.LiveIndices() {
 				name := rt.Graph.Element(i).Name

@@ -1,125 +1,60 @@
 package packet
 
-import (
-	"sync"
-	"unsafe"
-)
+import "sync"
 
 // Buffer recycling, as Click recycles sk_buffs: a router at full rate
 // would otherwise hammer the allocator (and, here, the garbage
-// collector) with one short-lived buffer per packet. The pool is
-// sharded so that parallel workers do not serialize on one mutex in
-// the forwarding path: each worker lands on a shard derived from its
-// goroutine stack (stacks are per-goroutine, so the index is stable
-// for a worker and distinct between workers), takes the shard lock
-// with TryLock — never blocking behind another worker — and falls back
-// to the bounded global overflow pool only when every shard is busy or
-// its own runs dry.
+// collector) with one short-lived buffer per packet. The pool is one
+// bounded free list. The run loop's goroutine does nearly all the
+// getting and putting; the mutex is for the backend pumps, drivers and
+// tests that make or kill packets on their own goroutines.
 
 const (
 	poolBufSize = 2048 // covers MTU-sized packets with default slack
-	poolMax     = 1024 // bound on retained buffers across all shards
-	poolShards  = 8
-	perShard    = poolMax / poolShards
+	poolMax     = 2048 // bound on retained buffers (4 MiB)
 )
-
-type poolShard struct {
-	mu   sync.Mutex
-	bufs [][]byte
-	_    [64]byte // keep shards off each other's cache lines
-}
 
 var (
-	shards     [poolShards]poolShard
-	overflowMu sync.Mutex
-	overflow   [][]byte
+	poolMu sync.Mutex
+	pool   [][]byte
 )
 
-// poolIndex derives a shard index from the caller's goroutine stack
-// address: cheap, and goroutine-affine without thread-local storage.
-func poolIndex() int {
-	var x byte
-	return int((uintptr(unsafe.Pointer(&x)) >> 10) % poolShards)
-}
-
-// getBuf takes a recycled buffer of capacity poolBufSize, or nil. It
-// prefers the caller's own shard, scans the others without ever
-// blocking, and drains the overflow pool last.
+// getBuf takes a recycled buffer of capacity poolBufSize, or nil.
 func getBuf() []byte {
-	idx := poolIndex()
-	for i := 0; i < poolShards; i++ {
-		s := &shards[(idx+i)%poolShards]
-		if !s.mu.TryLock() {
-			continue
-		}
-		if n := len(s.bufs); n > 0 {
-			b := s.bufs[n-1]
-			s.bufs = s.bufs[:n-1]
-			s.mu.Unlock()
-			return b
-		}
-		s.mu.Unlock()
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	n := len(pool)
+	if n == 0 {
+		return nil
 	}
-	overflowMu.Lock()
-	defer overflowMu.Unlock()
-	if n := len(overflow); n > 0 {
-		b := overflow[n-1]
-		overflow = overflow[:n-1]
-		return b
-	}
-	return nil
+	b := pool[n-1]
+	pool = pool[:n-1]
+	return b
 }
 
-// putBuf returns a buffer to the pool if it is recyclable, preferring
-// the caller's shard and spilling to the overflow pool when the shards
-// are full or busy.
+// putBuf returns a buffer to the pool if it is recyclable and the pool
+// has room.
 func putBuf(b []byte) {
 	if cap(b) < poolBufSize {
 		return
 	}
-	b = b[:cap(b)]
-	idx := poolIndex()
-	for i := 0; i < poolShards; i++ {
-		s := &shards[(idx+i)%poolShards]
-		if !s.mu.TryLock() {
-			continue
-		}
-		if len(s.bufs) < perShard {
-			s.bufs = append(s.bufs, b)
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Unlock()
+	poolMu.Lock()
+	if len(pool) < poolMax {
+		pool = append(pool, b[:cap(b)])
 	}
-	overflowMu.Lock()
-	if len(overflow) < poolMax {
-		overflow = append(overflow, b)
-	}
-	overflowMu.Unlock()
+	poolMu.Unlock()
 }
 
 // poolReset discards every retained buffer (test hook).
 func poolReset() {
-	for i := range shards {
-		shards[i].mu.Lock()
-		shards[i].bufs = nil
-		shards[i].mu.Unlock()
-	}
-	overflowMu.Lock()
-	overflow = nil
-	overflowMu.Unlock()
+	poolMu.Lock()
+	pool = nil
+	poolMu.Unlock()
 }
 
-// poolCount returns the total number of retained buffers (test hook).
+// poolCount returns the number of retained buffers (test hook).
 func poolCount() int {
-	n := 0
-	for i := range shards {
-		shards[i].mu.Lock()
-		n += len(shards[i].bufs)
-		shards[i].mu.Unlock()
-	}
-	overflowMu.Lock()
-	n += len(overflow)
-	overflowMu.Unlock()
-	return n
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	return len(pool)
 }

@@ -3,13 +3,13 @@
 # bench module's own tests.
 #
 # The race tier is one run of everything under -race. It is there to
-# catch: state shared across workers (Queue rings, ARP tables, the
-# sharded packet pool, refcounts) touched without its guard; a hot-swap,
-# tenant splice or write handler landing anywhere but a SyncDo quiescent
-# point (a missed round boundary or rendezvous shows up as a race on
-# transplanted state); flow-cache shards and guard generations read on
-# the fast path while handlers bump them; and the UDP pump feeding the
-# task loop from another goroutine.
+# catch: a control operation (hot-swap, tenant splice, write handler)
+# landing anywhere but a SyncDo quiescent point, which shows up as a
+# race between the caller's goroutine and the run loop on transplanted
+# or restructured state; read handlers sampling a running router's live
+# counters (Queue occupancy, drops, high water) with plain loads; the
+# UDP pump feeding the run loop from another goroutine; and packet
+# refcounts and the buffer pool used from more than one goroutine.
 set -eux
 
 cd "$(dirname "$0")/.."
