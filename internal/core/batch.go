@@ -5,9 +5,11 @@ import "repro/internal/packet"
 // The batch transfer path amortizes inter-element dispatch over several
 // packets, the modern analogue of the paper's transfer-cost
 // optimizations: where click-devirtualize removes the indirection of
-// one virtual call, batching removes all but one of N of them. Elements
-// opt in per class; chains fall back to the scalar path at the first
-// element that has not been converted, so batch and scalar elements mix
+// one virtual call, batching removes all but one of N of them. Every
+// SimpleAction element takes batches through the transfers derived
+// below; an element that writes its own Push or Pull takes them only if
+// it also writes PushBatch or PullBatch, and otherwise receives a batch
+// one packet at a time through the scalar path, so the two kinds mix
 // freely in one configuration.
 
 // BatchPusher is implemented by elements whose push inputs accept a
@@ -27,10 +29,52 @@ type BatchPuller interface {
 	PullBatch(port int, buf []*packet.Packet) int
 }
 
+// derivedBatch is the BatchPusher and BatchPuller Build binds to the
+// ports facing a SimpleAction element.
+type derivedBatch struct{ b *Base }
+
+// PushBatch runs the action over the batch, compacting survivors in
+// place, and forwards them as one batch on output 0; packets the action
+// disposes of leave on its scalar paths as they are found.
+func (d derivedBatch) PushBatch(port int, ps []*packet.Packet) {
+	b, k := d.b, 0
+	for _, p := range ps {
+		b.Work()
+		if p = b.action.SimpleAction(p); p != nil {
+			ps[k] = p
+			k++
+		}
+	}
+	if k > 0 {
+		b.outputs[0].PushBatch(ps[:k])
+	}
+}
+
+// PullBatch pulls a batch from input 0 and runs the action over it,
+// compacting survivors. Like the derived Pull it returns 0 only when
+// upstream delivered nothing.
+func (d derivedBatch) PullBatch(port int, buf []*packet.Packet) int {
+	b := d.b
+	for {
+		n, k := b.inputs[0].PullBatch(buf), 0
+		for _, p := range buf[:n] {
+			b.Work()
+			if p = b.action.SimpleAction(p); p != nil {
+				buf[k] = p
+				k++
+			}
+		}
+		if k > 0 || n == 0 {
+			return k
+		}
+	}
+}
+
 // PushBatch transfers a batch of packets downstream. When the target
-// element implements BatchPusher, the whole batch crosses in a single
-// (charged) dispatch; otherwise each packet takes the scalar Push path,
-// with its usual per-packet dispatch charge.
+// takes batches (a SimpleAction element, or one that writes PushBatch),
+// the whole batch crosses in a single (charged) dispatch; otherwise
+// each packet takes the scalar Push path, with its usual per-packet
+// dispatch charge.
 func (p *OutPort) PushBatch(pkts []*packet.Packet) {
 	switch {
 	case len(pkts) == 0:
@@ -68,9 +112,10 @@ func (p *OutPort) PushBatch(pkts []*packet.Packet) {
 }
 
 // PullBatch requests up to len(buf) packets from upstream, returning
-// the number delivered. When the source element implements BatchPuller
-// the batch crosses in a single (charged) dispatch; otherwise packets
-// are pulled one at a time through the scalar path.
+// the number delivered. When the source hands out batches (a
+// SimpleAction element, or one that writes PullBatch) the batch crosses
+// in a single (charged) dispatch; otherwise packets are pulled one at a
+// time through the scalar path.
 func (p *InPort) PullBatch(buf []*packet.Packet) int {
 	if len(buf) == 0 {
 		return 0

@@ -13,7 +13,14 @@ import (
 )
 
 // Element is a packet-processing component. Implementations embed Base
-// and override Push and/or Pull according to their processing code.
+// and are written one of two ways. An element with one input whose
+// packets continue on output 0 implements SimpleAction and nothing
+// else: Base derives Push, Pull and both batch transfers from it, so the
+// class works in push and in pull context. An element with several
+// inputs, or one that chooses among outputs or emits several packets on
+// output 0, overrides Push and/or Pull according to its processing code
+// (and may add PushBatch/PullBatch). Build rejects a class that does
+// both.
 type Element interface {
 	// Configure parses the element's configuration arguments. It runs
 	// before ports are wired.
@@ -25,6 +32,18 @@ type Element interface {
 	Pull(port int) *packet.Packet
 
 	base() *Base
+}
+
+// SimpleAction is the one method a one-in/one-out element writes: it
+// handles p and returns the packet that continues — on output 0 in push
+// context, to the puller in pull context. The result may be p itself or
+// a replacement. Nil means the element has already disposed of p: Drop,
+// or a push to a secondary (error) output, which is a push port in
+// either context. The derived transfers charge Work once per packet
+// before the call, so the action charges only data-dependent extras
+// (Charge, MemFetch).
+type SimpleAction interface {
+	SimpleAction(p *packet.Packet) *packet.Packet
 }
 
 // Initializer is implemented by elements needing a post-wiring setup
@@ -62,6 +81,9 @@ type Base struct {
 	// stats holds the element's live telemetry counters; ports update
 	// the endpoint elements' stats on every transfer.
 	stats ElemStats
+	// action is the element itself when it implements SimpleAction (set
+	// by Build), nil for elements that write their own transfers.
+	action SimpleAction
 }
 
 func (b *Base) base() *Base { return b }
@@ -102,7 +124,8 @@ func (b *Base) DefaultBurst() int {
 }
 
 // Work charges the element's per-invocation cost to the cost model.
-// Element Push/Pull implementations call it once per handled packet.
+// Hand-written Push/Pull implementations call it once per handled
+// packet; the derived transfers call it for SimpleAction elements.
 func (b *Base) Work() {
 	b.stats.addCycles(b.workCycles)
 	if b.cpu != nil {
@@ -132,6 +155,17 @@ func (b *Base) Drop(p *packet.Packet) {
 	p.Kill()
 }
 
+// CheckedPush pushes p on an output that may not exist — an error or
+// side port a configuration left unwired, a port number computed from a
+// packet or a handler write, -1 for "none" — and drops p when it doesn't.
+func (b *Base) CheckedPush(port int, p *packet.Packet) {
+	if uint(port) < uint(len(b.outputs)) {
+		b.outputs[port].Push(p)
+		return
+	}
+	b.Drop(p)
+}
+
 // CountDrops records n packets terminated by this element at sites that
 // kill through other helpers (batch tails, device rejections).
 func (b *Base) CountDrops(n int) {
@@ -159,14 +193,40 @@ func (b *Base) MemFetch(n int) {
 	}
 }
 
-// Push is the default implementation for elements without push inputs.
+// Push is the push transfer of every element that does not write its
+// own. For a SimpleAction element it is derived: charge Work, run the
+// action, forward the survivor on output 0 (ports do the same without
+// coming through here). For any other element, reaching it means a push
+// arrived at a class with no push input.
 func (b *Base) Push(port int, p *packet.Packet) {
-	panic(fmt.Sprintf("element %q (%s): Push on non-push element", b.name, b.class))
+	if b.action == nil {
+		panic(fmt.Sprintf("element %q (%s): Push on non-push element", b.name, b.class))
+	}
+	b.Work()
+	if p = b.action.SimpleAction(p); p != nil {
+		b.outputs[0].Push(p)
+	}
 }
 
-// Pull is the default implementation for elements without pull outputs.
+// Pull is the pull transfer of every element that does not write its
+// own. For a SimpleAction element it is derived: pull from input 0 and
+// run the action, charging Work only for a packet upstream delivered.
+// A packet the action disposes of is followed by another pull, so nil
+// still means upstream had nothing — the meaning tasks rely on to stop.
 func (b *Base) Pull(port int) *packet.Packet {
-	panic(fmt.Sprintf("element %q (%s): Pull on non-pull element", b.name, b.class))
+	if b.action == nil {
+		panic(fmt.Sprintf("element %q (%s): Pull on non-pull element", b.name, b.class))
+	}
+	for {
+		p := b.inputs[0].Pull()
+		if p == nil {
+			return nil
+		}
+		b.Work()
+		if p = b.action.SimpleAction(p); p != nil {
+			return p
+		}
+	}
 }
 
 // Configure is the default implementation for elements that take no
@@ -212,22 +272,37 @@ func (p *OutPort) Connected() bool { return p.connected }
 // Target returns the downstream element and port.
 func (p *OutPort) Target() (Element, int) { return p.target, p.targetPort }
 
-// Push transfers a packet downstream.
+// Push transfers a packet downstream. A SimpleAction target is run right
+// here — its action is the only dynamic call of the hop — and the loop
+// carries the survivor on to that element's output 0, so a chain of
+// simple elements costs neither an interface dispatch into Base.Push nor
+// a stack frame per hop.
 func (p *OutPort) Push(pkt *packet.Packet) {
-	if p.cpu != nil {
-		if p.direct != nil {
-			p.cpu.DirectCall()
-		} else {
-			p.cpu.IndirectCall(p.site, p.targetID)
+	for {
+		if p.cpu != nil {
+			if p.direct != nil {
+				p.cpu.DirectCall()
+			} else {
+				p.cpu.IndirectCall(p.site, p.targetID)
+			}
 		}
-	}
-	if p.owner != nil {
-		n := int64(pkt.Len())
-		p.owner.stats.addOut(1, n)
-		p.peer.stats.addIn(1, n)
-		if p.tracer != nil {
-			p.tracer.record(pkt.ID, p.peer.name)
+		if p.owner != nil {
+			n := int64(pkt.Len())
+			p.owner.stats.addOut(1, n)
+			p.peer.stats.addIn(1, n)
+			if p.tracer != nil {
+				p.tracer.record(pkt.ID, p.peer.name)
+			}
 		}
+		b := p.peer
+		if b.action == nil {
+			break
+		}
+		b.Work()
+		if pkt = b.action.SimpleAction(pkt); pkt == nil {
+			return
+		}
+		p = &b.outputs[0]
 	}
 	if p.direct != nil {
 		p.direct(p.targetPort, pkt)
@@ -271,9 +346,12 @@ func (p *InPort) Pull() *packet.Packet {
 		}
 	}
 	var pkt *packet.Packet
-	if p.direct != nil {
+	switch {
+	case p.peer.action != nil:
+		pkt = p.peer.Pull(p.sourcePort)
+	case p.direct != nil:
 		pkt = p.direct(p.sourcePort)
-	} else {
+	default:
 		pkt = p.source.Pull(p.sourcePort)
 	}
 	if pkt != nil && p.owner != nil {

@@ -37,27 +37,12 @@ func (e *Align) Configure(args []string) error {
 	return nil
 }
 
-func (e *Align) align(p *packet.Packet) {
+// SimpleAction realigns, charging the copy only when one is needed.
+func (e *Align) SimpleAction(p *packet.Packet) *packet.Packet {
 	if p.AlignOffset(e.modulus) != e.offset {
 		atomic.AddInt64(&e.Copies, 1)
 		e.Charge(costAlign)
 		p.Realign(e.modulus, e.offset)
-	}
-}
-
-// Push realigns and forwards.
-func (e *Align) Push(port int, p *packet.Packet) {
-	e.Work()
-	e.align(p)
-	e.Output(0).Push(p)
-}
-
-// Pull pulls and realigns.
-func (e *Align) Pull(port int) *packet.Packet {
-	e.Work()
-	p := e.Input(0).Pull()
-	if p != nil {
-		e.align(p)
 	}
 	return p
 }

@@ -16,20 +16,11 @@ type Discard struct {
 	Count int64
 }
 
-// Push drops the packet.
-func (e *Discard) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction drops the packet.
+func (e *Discard) SimpleAction(p *packet.Packet) *packet.Packet {
 	atomic.AddInt64(&e.Count, 1)
 	e.Drop(p)
-}
-
-// PushBatch drops the whole batch.
-func (e *Discard) PushBatch(port int, ps []*packet.Packet) {
-	atomic.AddInt64(&e.Count, int64(len(ps)))
-	for _, p := range ps {
-		e.Work()
-		e.Drop(p)
-	}
+	return nil
 }
 
 // Idle never produces packets and silently swallows any it is given; it
@@ -45,34 +36,8 @@ func (e *Idle) Pull(port int) *packet.Packet { return nil }
 // Null passes packets through unchanged (one input, one output).
 type Null struct{ core.Base }
 
-// Push forwards.
-func (e *Null) Push(port int, p *packet.Packet) {
-	e.Work()
-	e.Output(0).Push(p)
-}
-
-// PushBatch forwards the batch.
-func (e *Null) PushBatch(port int, ps []*packet.Packet) {
-	for range ps {
-		e.Work()
-	}
-	e.Output(0).PushBatch(ps)
-}
-
-// Pull forwards.
-func (e *Null) Pull(port int) *packet.Packet {
-	e.Work()
-	return e.Input(0).Pull()
-}
-
-// PullBatch forwards a batch from upstream.
-func (e *Null) PullBatch(port int, buf []*packet.Packet) int {
-	n := e.Input(0).PullBatch(buf)
-	for i := 0; i < n; i++ {
-		e.Work()
-	}
-	return n
-}
+// SimpleAction forwards.
+func (e *Null) SimpleAction(p *packet.Packet) *packet.Packet { return p }
 
 // Counter counts passing packets and bytes. Counts are updated
 // atomically so a driver may sample them from another goroutine.
@@ -82,50 +47,11 @@ type Counter struct {
 	Bytes   int64
 }
 
-// Push counts and forwards.
-func (e *Counter) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction counts and forwards.
+func (e *Counter) SimpleAction(p *packet.Packet) *packet.Packet {
 	atomic.AddInt64(&e.Packets, 1)
 	atomic.AddInt64(&e.Bytes, int64(p.Len()))
-	e.Output(0).Push(p)
-}
-
-// PushBatch counts the batch in two atomic updates and forwards it.
-func (e *Counter) PushBatch(port int, ps []*packet.Packet) {
-	var bytes int64
-	for _, p := range ps {
-		e.Work()
-		bytes += int64(p.Len())
-	}
-	atomic.AddInt64(&e.Packets, int64(len(ps)))
-	atomic.AddInt64(&e.Bytes, bytes)
-	e.Output(0).PushBatch(ps)
-}
-
-// Pull forwards and counts.
-func (e *Counter) Pull(port int) *packet.Packet {
-	e.Work()
-	p := e.Input(0).Pull()
-	if p != nil {
-		atomic.AddInt64(&e.Packets, 1)
-		atomic.AddInt64(&e.Bytes, int64(p.Len()))
-	}
 	return p
-}
-
-// PullBatch forwards a batch from upstream, counting it.
-func (e *Counter) PullBatch(port int, buf []*packet.Packet) int {
-	n := e.Input(0).PullBatch(buf)
-	var bytes int64
-	for i := 0; i < n; i++ {
-		e.Work()
-		bytes += int64(buf[i].Len())
-	}
-	if n > 0 {
-		atomic.AddInt64(&e.Packets, int64(n))
-		atomic.AddInt64(&e.Bytes, bytes)
-	}
-	return n
 }
 
 // Queue is the standard FIFO packet queue: push input, pull output,
@@ -289,20 +215,10 @@ type RouterLink struct {
 	Carried int64
 }
 
-// Push forwards into the peer router.
-func (e *RouterLink) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction forwards into the peer router.
+func (e *RouterLink) SimpleAction(p *packet.Packet) *packet.Packet {
 	atomic.AddInt64(&e.Carried, 1)
-	e.Output(0).Push(p)
-}
-
-// PushBatch forwards the batch into the peer router.
-func (e *RouterLink) PushBatch(port int, ps []*packet.Packet) {
-	for range ps {
-		e.Work()
-	}
-	atomic.AddInt64(&e.Carried, int64(len(ps)))
-	e.Output(0).PushBatch(ps)
+	return p
 }
 
 // Tee clones each input packet to every output.
@@ -371,11 +287,7 @@ func (e *StaticSwitch) Configure(args []string) error {
 // Push routes to the configured output.
 func (e *StaticSwitch) Push(port int, p *packet.Packet) {
 	e.Work()
-	if e.Port < 0 || e.Port >= e.NOutputs() {
-		e.Drop(p)
-		return
-	}
-	e.Output(e.Port).Push(p)
+	e.CheckedPush(e.Port, p)
 }
 
 // InfiniteSource pushes synthetic 64-byte-class UDP packets from a task
@@ -436,8 +348,9 @@ func (e *InfiniteSource) Configure(args []string) error {
 }
 
 // RunTask emits up to one burst. Bursts of more than one packet leave
-// as a single batched transfer. A router-wide Burst build option raises
-// the effective burst of sources configured with the default of 1.
+// as a single batched transfer (a batch of one is a plain push). A
+// router-wide Burst build option raises the effective burst of sources
+// configured with the default of 1.
 func (e *InfiniteSource) RunTask() bool {
 	n := e.burst
 	if d := e.DefaultBurst(); d > n {
@@ -450,12 +363,6 @@ func (e *InfiniteSource) RunTask() bool {
 	}
 	if n <= 0 {
 		return false
-	}
-	if n == 1 {
-		e.Work()
-		e.Emitted++
-		e.Output(0).Push(e.tmpl.Clone())
-		return true
 	}
 	if cap(e.scratch) < n {
 		e.scratch = make([]*packet.Packet, n)
@@ -552,7 +459,11 @@ func (e *RED) rand() float64 {
 	return float64(e.seed*0x2545f4914f6cdd1d>>11) / float64(1<<53)
 }
 
-// Push applies the drop decision and forwards survivors.
+// Push applies the drop decision and forwards survivors. RED writes its
+// own Push rather than a SimpleAction because each decision reads the
+// queue lengths the previous packet left behind: run over a batch before
+// any of it is forwarded, it would judge every packet against the
+// occupancy at the start of the batch.
 func (e *RED) Push(port int, p *packet.Packet) {
 	e.Work()
 	total := 0
@@ -629,11 +540,7 @@ func (e *Switch) Configure(args []string) error {
 // Push routes to the current port.
 func (e *Switch) Push(port int, p *packet.Packet) {
 	e.Work()
-	if e.port < 0 || e.port >= e.NOutputs() {
-		e.Drop(p)
-		return
-	}
-	e.Output(e.port).Push(p)
+	e.CheckedPush(e.port, p)
 }
 
 // Handlers exports the switchable port.
@@ -660,12 +567,7 @@ type PaintSwitch struct{ core.Base }
 // Push routes by paint.
 func (e *PaintSwitch) Push(port int, p *packet.Packet) {
 	e.Work()
-	out := int(p.Anno.Paint)
-	if out >= e.NOutputs() {
-		e.Drop(p)
-		return
-	}
-	e.Output(out).Push(p)
+	e.CheckedPush(int(p.Anno.Paint), p)
 }
 
 // ToHost hands packets to the host network stack — the "to Linux" arrow
@@ -677,9 +579,8 @@ type ToHost struct {
 	Recent []*packet.Packet
 }
 
-// Push delivers to the host.
-func (e *ToHost) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction delivers to the host.
+func (e *ToHost) SimpleAction(p *packet.Packet) *packet.Packet {
 	e.Count++
 	e.CountDelivered(1, int64(p.Len()))
 	if len(e.Recent) >= 8 {
@@ -688,6 +589,7 @@ func (e *ToHost) Push(port int, p *packet.Packet) {
 		old.Kill()
 	}
 	e.Recent = append(e.Recent, p)
+	return nil
 }
 
 // Handlers exports the delivery count.

@@ -6,76 +6,79 @@ import (
 
 	"repro/internal/classifier"
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/lang"
 	"repro/internal/packet"
 )
 
-// classifierBase is shared by the three generic classification elements
-// (§3): a decision tree traversed per packet by the interpreter loop of
-// Figure 3a, charging the cost model per node visited.
+// classifierBase is the one classification element body: a decision
+// tree matched per packet, charging the cost model per node visited. The
+// three generic classes (§3) walk the tree with the interpreter loop of
+// Figure 3a; the classes click-fastclassifier and click-fuse generate
+// run the same tree compiled, at a lower cost per node.
 type classifierBase struct {
 	core.Base
-	prog *classifier.Program
+	prog     *classifier.Program
+	match    func(data []byte) (port int, matched bool, steps int)
+	stepCost int64
 	// Matched and Dropped instrument classification outcomes.
 	Matched int64
 	Dropped int64
 }
 
 // Program exposes the decision tree (click-fastclassifier's harness
-// reads it).
+// reads it, and click-fuse composes already-specialized classifiers).
 func (e *classifierBase) Program() *classifier.Program { return e.prog }
 
-func (e *classifierBase) classify(p *packet.Packet) {
+// interpret installs pr as the tree to walk with the generic
+// interpreter.
+func (e *classifierBase) interpret(class string, pr *classifier.Program, err error) error {
+	if err != nil {
+		return fmt.Errorf("%s: %v", class, err)
+	}
+	pr.Optimize()
+	e.prog, e.match, e.stepCost = pr, pr.Match, costClassifierStep
+	return nil
+}
+
+// route matches one packet, charging the tree steps it took, and
+// returns the output port it leaves on, or -1 when nothing matched or
+// the port is not wired.
+func (e *classifierBase) route(p *packet.Packet) int {
 	e.Work()
 	e.MemFetch(1) // first touch of the packet's Ethernet header
-	port, ok, steps := e.prog.Match(p.Data())
-	e.Charge(int64(steps) * costClassifierStep)
-	if !ok || port >= e.NOutputs() {
+	out, ok, steps := e.match(p.Data())
+	e.Charge(int64(steps) * e.stepCost)
+	if !ok || out >= e.NOutputs() {
 		atomic.AddInt64(&e.Dropped, 1)
-		e.Drop(p)
-		return
+		return -1
 	}
 	atomic.AddInt64(&e.Matched, 1)
-	e.Output(port).Push(p)
+	return out
 }
 
 // Push classifies.
-func (e *classifierBase) Push(port int, p *packet.Packet) { e.classify(p) }
+func (e *classifierBase) Push(port int, p *packet.Packet) { e.CheckedPush(e.route(p), p) }
 
 // PushBatch classifies each packet and forwards runs of consecutive
 // same-port packets as sub-batches, preserving per-port packet order.
 func (e *classifierBase) PushBatch(port int, ps []*packet.Packet) {
-	pushRunsBatch(ps, e.NOutputs(), func(p *packet.Packet) int {
-		e.Work()
-		e.MemFetch(1)
-		out, ok, steps := e.prog.Match(p.Data())
-		e.Charge(int64(steps) * costClassifierStep)
-		if !ok || out >= e.NOutputs() {
-			atomic.AddInt64(&e.Dropped, 1)
-			return -1
-		}
-		atomic.AddInt64(&e.Matched, 1)
-		return out
-	}, e.Output, e.Drop)
+	pushRunsBatch(&e.Base, ps, e.route)
 }
 
 // pushRunsBatch routes a batch through a per-packet port decision,
 // emitting maximal runs of consecutive same-port packets as one
-// batched transfer each. A decision of -1 hands the packet to drop
-// (Base.Drop, so telemetry sees batch-path drops too).
-func pushRunsBatch(ps []*packet.Packet, nout int, decide func(*packet.Packet) int, output func(int) *core.OutPort, drop func(*packet.Packet)) {
+// batched transfer each; -1 drops the packet.
+func pushRunsBatch(b *core.Base, ps []*packet.Packet, route func(*packet.Packet) int) {
 	start, cur := 0, -2
 	flush := func(end int) {
 		if cur >= 0 && end > start {
-			output(cur).PushBatch(ps[start:end])
+			b.Output(cur).PushBatch(ps[start:end])
 		}
 	}
 	for i, p := range ps {
-		out := decide(p)
+		out := route(p)
 		if out < 0 {
 			flush(i)
-			drop(p)
+			b.Drop(p)
 			cur, start = -2, i+1
 			continue
 		}
@@ -94,18 +97,7 @@ type Classifier struct{ classifierBase }
 // Configure compiles the patterns.
 func (e *Classifier) Configure(args []string) error {
 	pr, err := classifier.BuildClassifierProgram(args)
-	if err != nil {
-		return fmt.Errorf("Classifier: %v", err)
-	}
-	pr.Optimize()
-	e.prog = pr
-	return nil
-}
-
-// classifierPorts computes Classifier's output count from its config.
-func classifierPorts(config string) (graph.PortRange, graph.PortRange) {
-	n := len(lang.SplitConfig(config))
-	return graph.Exactly(1), graph.Exactly(n)
+	return e.interpret("Classifier", pr, err)
 }
 
 // IPClassifier matches IP packets against tcpdump-like expressions, one
@@ -115,12 +107,7 @@ type IPClassifier struct{ classifierBase }
 // Configure compiles the expressions.
 func (e *IPClassifier) Configure(args []string) error {
 	pr, err := classifier.BuildIPClassifierProgram(args)
-	if err != nil {
-		return fmt.Errorf("IPClassifier: %v", err)
-	}
-	pr.Optimize()
-	e.prog = pr
-	return nil
+	return e.interpret("IPClassifier", pr, err)
 }
 
 // IPFilter applies allow/deny rules; allowed packets leave on output 0.
@@ -129,12 +116,7 @@ type IPFilter struct{ classifierBase }
 // Configure compiles the rules.
 func (e *IPFilter) Configure(args []string) error {
 	pr, err := classifier.BuildIPFilterProgram(args)
-	if err != nil {
-		return fmt.Errorf("IPFilter: %v", err)
-	}
-	pr.Optimize()
-	e.prog = pr
-	return nil
+	return e.interpret("IPFilter", pr, err)
 }
 
 // FastClassifier is the runtime body of the element classes
@@ -142,57 +124,20 @@ func (e *IPFilter) Configure(args []string) error {
 // inlined constants (Figure 3b). Instances are created through dynamic
 // specs registered by the tool, never named directly in hand-written
 // configurations.
-type FastClassifier struct {
-	core.Base
-	compiled *classifier.Compiled
-	Matched  int64
-	Dropped  int64
-}
+type FastClassifier struct{ classifierBase }
 
 // NewFastClassifier wraps a compiled program as an element factory.
 func NewFastClassifier(c *classifier.Compiled) func() core.Element {
-	return func() core.Element { return &FastClassifier{compiled: c} }
+	return func() core.Element { return &FastClassifier{compiledBase(c)} }
+}
+
+func compiledBase(c *classifier.Compiled) classifierBase {
+	return classifierBase{prog: c.Program(), match: c.Match, stepCost: costFastClassStep}
 }
 
 // Configure ignores arguments: the compiled tree is baked in, exactly
 // as the generated C++ classes ignore their configuration strings.
 func (e *FastClassifier) Configure(args []string) error { return nil }
-
-// Program exposes the compiled decision tree so downstream passes
-// (click-fuse) can compose already-specialized classifiers.
-func (e *FastClassifier) Program() *classifier.Program { return e.compiled.Program() }
-
-// Push classifies with the compiled matcher.
-func (e *FastClassifier) Push(port int, p *packet.Packet) {
-	e.Work()
-	e.MemFetch(1) // first touch of the packet's Ethernet header
-	out, ok, steps := e.compiled.Match(p.Data())
-	e.Charge(int64(steps) * costFastClassStep)
-	if !ok || out >= e.NOutputs() {
-		atomic.AddInt64(&e.Dropped, 1)
-		e.Drop(p)
-		return
-	}
-	atomic.AddInt64(&e.Matched, 1)
-	e.Output(out).Push(p)
-}
-
-// PushBatch classifies the batch with the compiled matcher, forwarding
-// runs of consecutive same-port packets as sub-batches.
-func (e *FastClassifier) PushBatch(port int, ps []*packet.Packet) {
-	pushRunsBatch(ps, e.NOutputs(), func(p *packet.Packet) int {
-		e.Work()
-		e.MemFetch(1)
-		out, ok, steps := e.compiled.Match(p.Data())
-		e.Charge(int64(steps) * costFastClassStep)
-		if !ok || out >= e.NOutputs() {
-			atomic.AddInt64(&e.Dropped, 1)
-			return -1
-		}
-		atomic.AddInt64(&e.Matched, 1)
-		return out
-	}, e.Output, e.Drop)
-}
 
 // FusedClassifier is the runtime body of the FusedClassifier_N classes
 // click-fuse generates: one decision diagram standing in for a whole
@@ -207,5 +152,5 @@ type FusedClassifier struct {
 // NewFusedClassifier wraps a composed decision diagram as an element
 // factory for a generated fused class.
 func NewFusedClassifier(c *classifier.Compiled) func() core.Element {
-	return func() core.Element { return &FusedClassifier{FastClassifier{compiled: c}} }
+	return func() core.Element { return &FusedClassifier{FastClassifier{compiledBase(c)}} }
 }

@@ -1,8 +1,8 @@
 package elements
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -15,15 +15,22 @@ import (
 // stay readable with the general elements, and click-xform installs the
 // combos before installation.
 
+// A combo holds its parts as unwired element values: it configures them
+// through their own Configure and runs their per-packet steps itself,
+// under one work charge and with its own ports, so every check exists
+// once. A part's SimpleAction is called directly only where it touches
+// neither ports nor drop accounting.
+
 // IPInputCombo fuses Paint(COLOR) → Strip(14) → CheckIPHeader(BADSRC)
 // and, when a third argument gives an annotation offset, GetIPAddress —
 // the Figure 4/6 input-path combination. Output 0 carries valid IP
 // packets; output 1 (optional) carries header failures.
 type IPInputCombo struct {
 	core.Base
-	color     byte
+	paint     Paint
+	strip     Strip
 	check     CheckIPHeader
-	addrOff   int // -1 when GetIPAddress is not fused in
+	addr      *GetIPAddress // nil when GetIPAddress is not fused in
 	Processed int64
 }
 
@@ -32,110 +39,45 @@ func (e *IPInputCombo) Configure(args []string) error {
 	if len(args) != 2 && len(args) != 3 {
 		return fmt.Errorf("IPInputCombo: expects COLOR, BADSRC [, OFFSET]")
 	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 0 || n > 255 {
-		return fmt.Errorf("IPInputCombo: bad color %q", args[0])
-	}
-	e.color = byte(n)
-	if err := e.check.Configure(args[1:2]); err != nil {
-		return err
-	}
-	e.addrOff = -1
+	e.strip.n = packet.EtherHeaderLen
+	errs := []error{e.paint.Configure(args[:1]), e.check.Configure(args[1:2])}
 	if len(args) == 3 {
-		off, err := strconv.Atoi(args[2])
-		if err != nil || off < 0 {
-			return fmt.Errorf("IPInputCombo: bad annotation offset %q", args[2])
-		}
-		e.addrOff = off
+		e.addr = &GetIPAddress{}
+		errs = append(errs, e.addr.Configure(args[2:]))
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
-func (e *IPInputCombo) fail(p *packet.Packet) {
-	if e.NOutputs() > 1 {
-		e.Output(1).Push(p)
-		return
-	}
-	e.Drop(p)
-}
-
-// process runs the fused input path on one packet and reports whether
-// it survived to be forwarded on output 0. Failed packets have already
-// been dispatched (to output 1 or killed).
-func (e *IPInputCombo) process(p *packet.Packet) bool {
-	e.Work()
+// SimpleAction runs the fused input path in one traversal of the
+// header.
+func (e *IPInputCombo) SimpleAction(p *packet.Packet) *packet.Packet {
 	e.MemFetch(1) // first touch of the packet's IP header
-	p.Anno.Paint = e.color
-	if p.Len() < packet.EtherHeaderLen {
+	e.paint.SimpleAction(p)
+	if !e.strip.strip(p) {
 		e.Drop(p)
-		return false
+		return nil
 	}
-	p.Pull(packet.EtherHeaderLen)
-	d := p.Data()
-	if len(d) < packet.IPHeaderMinLen {
-		e.fail(p)
-		return false
+	if !e.check.valid(p) {
+		e.CheckedPush(1, p)
+		return nil
 	}
-	h := packet.IP4Header(d)
-	hl := h.HeaderLen()
-	if h.Version() != 4 || hl < packet.IPHeaderMinLen || hl > len(d) {
-		e.fail(p)
-		return false
-	}
-	tl := h.TotalLen()
-	if tl < hl || tl > len(d) {
-		e.fail(p)
-		return false
-	}
-	if !h.ChecksumOK() {
-		e.fail(p)
-		return false
-	}
-	if e.check.bad[h.Src()] {
-		e.fail(p)
-		return false
-	}
-	p.Anno.NetworkOffset = 0
-	if tl < p.Len() {
-		p.Take(p.Len() - tl)
-	}
-	if e.addrOff >= 0 && len(d) >= e.addrOff+4 {
-		copy(p.Anno.DstIPAnno[:], d[e.addrOff:e.addrOff+4])
+	if e.addr != nil {
+		e.addr.SimpleAction(p)
 	}
 	atomic.AddInt64(&e.Processed, 1)
-	return true
-}
-
-// Push performs the fused input path in one traversal of the header.
-func (e *IPInputCombo) Push(port int, p *packet.Packet) {
-	if e.process(p) {
-		e.Output(0).Push(p)
-	}
-}
-
-// PushBatch runs the fused input path over the batch, compacting
-// survivors in place and forwarding them as one batch on output 0;
-// failures leave on the scalar error path as they are found.
-func (e *IPInputCombo) PushBatch(port int, ps []*packet.Packet) {
-	k := 0
-	for _, p := range ps {
-		if e.process(p) {
-			ps[k] = p
-			k++
-		}
-	}
-	e.Output(0).PushBatch(ps[:k])
+	return p
 }
 
 // IPOutputCombo fuses the output path: DropBroadcasts → CheckPaint(COLOR)
 // → IPGWOptions(MYADDR) → FixIPSrc(MYADDR) → DecIPTTL → IPFragmenter(MTU).
 // Outputs: 0 forward, 1 redirect (paint match), 2 bad options, 3 TTL
-// expired, 4 fragmentation needed (DF set).
+// expired, 4 fragmentation needed (DF set). It writes its own Push and
+// PushBatch because fragmenting emits several packets on output 0.
 type IPOutputCombo struct {
 	core.Base
-	color     byte
-	myIP      packet.IP4
+	paint     CheckPaint
 	gwOpts    IPGWOptions
+	fixSrc    FixIPSrc
 	frag      IPFragmenter
 	Processed int64
 }
@@ -145,99 +87,61 @@ func (e *IPOutputCombo) Configure(args []string) error {
 	if len(args) != 3 {
 		return fmt.Errorf("IPOutputCombo: expects COLOR, MYADDR, MTU")
 	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 0 || n > 255 {
-		return fmt.Errorf("IPOutputCombo: bad color %q", args[0])
-	}
-	e.color = byte(n)
-	if e.myIP, err = packet.ParseIP4(args[1]); err != nil {
-		return err
-	}
-	if err := e.gwOpts.Configure(args[1:2]); err != nil {
-		return err
-	}
-	if err := e.frag.Configure(args[2:3]); err != nil {
-		return err
-	}
-	return nil
+	return errors.Join(
+		e.paint.Configure(args[:1]), e.gwOpts.Configure(args[1:2]),
+		e.fixSrc.Configure(args[1:2]), e.frag.Configure(args[2:]))
 }
 
-func (e *IPOutputCombo) errorOut(port int, p *packet.Packet) {
-	if port < e.NOutputs() {
-		e.Output(port).Push(p)
-		return
-	}
-	e.Drop(p)
-}
-
-// Outcomes of IPOutputCombo.process.
-const (
-	outDone     = iota // dispatched to an error output or killed
-	outForward         // forward unmodified on output 0
-	outFragment        // exceeds the MTU: caller must fragmentTo
-)
-
-// process runs the fused output path on one packet. Error-path packets
-// are dispatched (or killed) inside and report outDone; packets that
-// need fragmentation report outFragment so the caller can order the
-// fragments correctly relative to other output-0 traffic.
-func (e *IPOutputCombo) process(p *packet.Packet) int {
+// process runs the fused output path on one packet and reports whether
+// it survived, and if so whether it exceeds the MTU and the caller must
+// fragment it (in order relative to other output-0 traffic). Packets
+// that did not survive have already left on an error output or been
+// dropped.
+func (e *IPOutputCombo) process(p *packet.Packet) (ok, oversize bool) {
 	e.Work()
 	atomic.AddInt64(&e.Processed, 1)
-	// DropBroadcasts.
-	if p.Anno.MACBroadcast {
+	if linkBroadcast(p) {
 		e.Drop(p)
-		return outDone
+		return false, false
 	}
-	// CheckPaint: clone to the redirect output, keep forwarding.
-	if p.Anno.Paint == e.color && e.NOutputs() > 1 {
-		e.Output(1).Push(p.Clone())
-	}
+	e.paint.tee(&e.Base, p)
 	h, ok := p.IPHeader()
 	if !ok {
 		e.Drop(p)
-		return outDone
+		return false, false
 	}
-	// IPGWOptions.
-	if h.HeaderLen() > packet.IPHeaderMinLen {
-		if !e.gwOpts.processOptions(p, h, h.HeaderLen()) {
-			e.errorOut(2, p)
-			return outDone
-		}
+	if !e.gwOpts.processOptions(h) {
+		e.CheckedPush(2, p)
+		return false, false
 	}
-	// FixIPSrc.
-	if p.Anno.FixIPSrc {
-		h.SetSrc(e.myIP)
-		h.UpdateChecksum()
-		p.Anno.FixIPSrc = false
+	e.fixSrc.SimpleAction(p)
+	if !decTTL(p, h) {
+		e.CheckedPush(3, p)
+		return false, false
 	}
-	// DecIPTTL.
-	if h.TTL() <= 1 {
-		e.errorOut(3, p)
-		return outDone
+	if p.Len() <= e.frag.mtu {
+		return true, false
 	}
-	p.Uniqueify()
-	h, _ = p.IPHeader()
-	h.DecTTLIncremental()
-	// IPFragmenter.
-	if p.Len() > e.frag.mtu {
-		if h.DontFragment() {
-			e.errorOut(4, p)
-			return outDone
-		}
-		return outFragment
+	if h, _ = p.IPHeader(); h.DontFragment() {
+		e.CheckedPush(4, p)
+		return false, false
 	}
-	return outForward
+	return true, true
+}
+
+// fragment emits an oversize survivor of process as fragments.
+func (e *IPOutputCombo) fragment(p *packet.Packet) {
+	h, _ := p.IPHeader()
+	e.frag.fragment(p, h, e.Output(0))
 }
 
 // Push performs the fused output path.
 func (e *IPOutputCombo) Push(port int, p *packet.Packet) {
-	switch e.process(p) {
-	case outForward:
+	switch ok, oversize := e.process(p); {
+	case oversize:
+		e.fragment(p)
+	case ok:
 		e.Output(0).Push(p)
-	case outFragment:
-		h, _ := p.IPHeader()
-		e.fragmentTo(p, h)
 	}
 }
 
@@ -248,50 +152,18 @@ func (e *IPOutputCombo) Push(port int, p *packet.Packet) {
 func (e *IPOutputCombo) PushBatch(port int, ps []*packet.Packet) {
 	k := 0
 	for _, p := range ps {
-		switch e.process(p) {
-		case outForward:
-			ps[k] = p
-			k++
-		case outFragment:
+		ok, oversize := e.process(p)
+		switch {
+		case oversize:
 			e.Output(0).PushBatch(ps[:k])
 			k = 0
-			h, _ := p.IPHeader()
-			e.fragmentTo(p, h)
+			e.fragment(p)
+		case ok:
+			ps[k] = p
+			k++
 		}
 	}
 	e.Output(0).PushBatch(ps[:k])
-}
-
-func (e *IPOutputCombo) fragmentTo(p *packet.Packet, h packet.IP4Header) {
-	hl := h.HeaderLen()
-	payload := p.Data()[hl:]
-	per := (e.frag.mtu - hl) &^ 7
-	origOff := h.FragOff()
-	more := h.MoreFragments()
-	for off := 0; off < len(payload); off += per {
-		end := off + per
-		last := false
-		if end >= len(payload) {
-			end = len(payload)
-			last = true
-		}
-		frag := packet.Make(packet.DefaultHeadroom, hl+(end-off), packet.DefaultTailroom)
-		d := frag.Data()
-		copy(d[:hl], h[:hl])
-		copy(d[hl:], payload[off:end])
-		fh := packet.IP4Header(d)
-		fh.SetTotalLen(hl + (end - off))
-		fo := (origOff & 0xe000) | (origOff & 0x1fff) + uint16(off/8)
-		if !last || more {
-			fo |= 0x2000
-		}
-		fh.SetFragOff(fo)
-		fh.UpdateChecksum()
-		frag.Anno = p.Anno
-		frag.Anno.NetworkOffset = 0
-		e.Output(0).Push(frag)
-	}
-	p.Kill()
 }
 
 // EtherEncapARP is the combination element the multiple-router ARP

@@ -1,85 +1,21 @@
 package elements
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/core"
+	pktio "repro/internal/io"
 	"repro/internal/packet"
 )
 
 // ToDump and FromDump are Click's trace elements: ToDump appends every
 // passing packet to a tcpdump-format (pcap) file; FromDump replays one.
 // They make simulated traffic inspectable with standard tools and give
-// configurations reproducible packet sources.
-
-// pcap file format constants (classic libpcap, microsecond timestamps).
-const (
-	pcapMagic       = 0xa1b2c3d4
-	pcapVersionMaj  = 2
-	pcapVersionMin  = 4
-	pcapLinkTypeEth = 1
-	pcapSnapLen     = 65535
-)
-
-func writePcapHeader(w io.Writer) error {
-	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], pcapMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], pcapVersionMaj)
-	binary.LittleEndian.PutUint16(hdr[6:], pcapVersionMin)
-	// thiszone, sigfigs = 0
-	binary.LittleEndian.PutUint32(hdr[16:], pcapSnapLen)
-	binary.LittleEndian.PutUint32(hdr[20:], pcapLinkTypeEth)
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-func writePcapRecord(w io.Writer, tsNanos int64, data []byte) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(tsNanos/1e9))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(tsNanos%1e9/1e3))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(data)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
-// readPcap parses a pcap file into records.
-func readPcap(data []byte) (records [][]byte, tstamps []int64, err error) {
-	if len(data) < 24 {
-		return nil, nil, fmt.Errorf("pcap: truncated header")
-	}
-	var order binary.ByteOrder = binary.LittleEndian
-	switch order.Uint32(data[0:4]) {
-	case pcapMagic:
-	case 0xd4c3b2a1:
-		order = binary.BigEndian
-	default:
-		return nil, nil, fmt.Errorf("pcap: bad magic %#x", order.Uint32(data[0:4]))
-	}
-	pos := 24
-	for pos < len(data) {
-		if pos+16 > len(data) {
-			return nil, nil, fmt.Errorf("pcap: truncated record header at %d", pos)
-		}
-		sec := int64(order.Uint32(data[pos:]))
-		usec := int64(order.Uint32(data[pos+4:]))
-		caplen := int(order.Uint32(data[pos+8:]))
-		pos += 16
-		if caplen < 0 || pos+caplen > len(data) {
-			return nil, nil, fmt.Errorf("pcap: truncated record body at %d", pos)
-		}
-		records = append(records, data[pos:pos+caplen])
-		tstamps = append(tstamps, sec*1e9+usec*1e3)
-		pos += caplen
-	}
-	return records, tstamps, nil
-}
+// configurations reproducible packet sources. The capture format is
+// internal/io's: ToDump writes nanosecond-precision classic pcap,
+// FromDump reads anything that reader accepts (either byte order and
+// precision, and pcapng).
 
 // ToDump writes every passing packet to a pcap file and forwards it
 // (or discards when it has no output).
@@ -87,6 +23,7 @@ type ToDump struct {
 	core.Base
 	path    string
 	f       *os.File
+	w       *pktio.Writer
 	Written int64
 }
 
@@ -105,7 +42,7 @@ func (e *ToDump) Initialize(rt *core.Router) error {
 	if err != nil {
 		return fmt.Errorf("ToDump: %v", err)
 	}
-	if err := writePcapHeader(f); err != nil {
+	if e.w, err = pktio.NewWriter(f, 0); err != nil {
 		f.Close()
 		return fmt.Errorf("ToDump: %v", err)
 	}
@@ -113,21 +50,21 @@ func (e *ToDump) Initialize(rt *core.Router) error {
 	return nil
 }
 
-// Push records the packet and forwards it.
-func (e *ToDump) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction records the packet and forwards it.
+func (e *ToDump) SimpleAction(p *packet.Packet) *packet.Packet {
 	if e.f != nil {
-		if err := writePcapRecord(e.f, p.Anno.Timestamp, p.Data()); err == nil {
+		rec := pktio.Record{TSNanos: p.Anno.Timestamp, Data: p.Data()}
+		if err := e.w.WriteRecord(rec); err == nil {
 			e.Written++
 		}
 	}
 	if e.NOutputs() > 0 {
-		e.Output(0).Push(p)
-		return
+		return p
 	}
 	// Terminal ToDump: the packet was delivered to the dump file.
 	e.CountDelivered(1, int64(p.Len()))
 	p.Kill()
+	return nil
 }
 
 // Close flushes and closes the dump file.
@@ -150,8 +87,7 @@ func (e *ToDump) Handlers() []core.Handler {
 type FromDump struct {
 	core.Base
 	path    string
-	records [][]byte
-	tstamps []int64
+	records []pktio.Record
 	next    int
 	Emitted int64
 }
@@ -166,13 +102,8 @@ func (e *FromDump) Configure(args []string) error {
 }
 
 // Initialize loads and parses the file.
-func (e *FromDump) Initialize(rt *core.Router) error {
-	data, err := os.ReadFile(e.path)
-	if err != nil {
-		return fmt.Errorf("FromDump: %v", err)
-	}
-	e.records, e.tstamps, err = readPcap(data)
-	if err != nil {
+func (e *FromDump) Initialize(rt *core.Router) (err error) {
+	if e.records, err = pktio.ReadPcapFile(e.path); err != nil {
 		return fmt.Errorf("FromDump: %v", err)
 	}
 	return nil
@@ -184,8 +115,9 @@ func (e *FromDump) RunTask() bool {
 		return false
 	}
 	e.Work()
-	p := packet.New(e.records[e.next])
-	p.Anno.Timestamp = e.tstamps[e.next]
+	rec := e.records[e.next]
+	p := packet.New(rec.Data)
+	p.Anno.Timestamp = rec.TSNanos
 	e.next++
 	e.Emitted++
 	e.Output(0).Push(p)

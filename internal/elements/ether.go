@@ -17,33 +17,28 @@ type Paint struct {
 	color byte
 }
 
-// Configure accepts the color (0-255).
-func (e *Paint) Configure(args []string) error {
+// parseColor parses the single paint color (0-255) argument every
+// painting class takes.
+func parseColor(class string, args []string) (byte, error) {
 	if len(args) != 1 {
-		return fmt.Errorf("Paint: expects COLOR")
+		return 0, fmt.Errorf("%s: expects COLOR", class)
 	}
 	n, err := strconv.Atoi(args[0])
 	if err != nil || n < 0 || n > 255 {
-		return fmt.Errorf("Paint: bad color %q", args[0])
+		return 0, fmt.Errorf("%s: bad color %q", class, args[0])
 	}
-	e.color = byte(n)
-	return nil
+	return byte(n), nil
 }
 
-// Push paints and forwards.
-func (e *Paint) Push(port int, p *packet.Packet) {
-	e.Work()
+// Configure accepts the color (0-255).
+func (e *Paint) Configure(args []string) (err error) {
+	e.color, err = parseColor("Paint", args)
+	return err
+}
+
+// SimpleAction paints.
+func (e *Paint) SimpleAction(p *packet.Packet) *packet.Packet {
 	p.Anno.Paint = e.color
-	e.Output(0).Push(p)
-}
-
-// Pull pulls, paints, and returns.
-func (e *Paint) Pull(port int) *packet.Packet {
-	e.Work()
-	p := e.Input(0).Pull()
-	if p != nil {
-		p.Anno.Paint = e.color
-	}
 	return p
 }
 
@@ -57,28 +52,28 @@ type CheckPaint struct {
 }
 
 // Configure accepts the color.
-func (e *CheckPaint) Configure(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("CheckPaint: expects COLOR")
-	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 0 || n > 255 {
-		return fmt.Errorf("CheckPaint: bad color %q", args[0])
-	}
-	e.color = byte(n)
-	return nil
+func (e *CheckPaint) Configure(args []string) (err error) {
+	e.color, err = parseColor("CheckPaint", args)
+	return err
 }
 
-// Push checks the paint annotation.
-func (e *CheckPaint) Push(port int, p *packet.Packet) {
-	e.Work()
-	if p.Anno.Paint == e.color {
-		atomic.AddInt64(&e.Matched, 1)
-		if e.NOutputs() > 1 {
-			e.Output(1).Push(p.Clone())
-		}
+// tee is the paint check itself, shared with IPOutputCombo: a packet
+// painted e.color leaves a clone on output 1 of b, the element whose
+// ports are in use, when that output is wired.
+func (e *CheckPaint) tee(b *core.Base, p *packet.Packet) bool {
+	match := p.Anno.Paint == e.color
+	if match && b.NOutputs() > 1 {
+		b.Output(1).Push(p.Clone())
 	}
-	e.Output(0).Push(p)
+	return match
+}
+
+// SimpleAction checks the paint annotation.
+func (e *CheckPaint) SimpleAction(p *packet.Packet) *packet.Packet {
+	if e.tee(&e.Base, p) {
+		atomic.AddInt64(&e.Matched, 1)
+	}
+	return p
 }
 
 // PaintTee clones matching packets to output 1 and forwards everything
@@ -92,28 +87,42 @@ type Strip struct {
 	n int
 }
 
-// Configure accepts the byte count.
-func (e *Strip) Configure(args []string) error {
+// parseLength parses the single byte-count argument of Strip and
+// Unstrip.
+func parseLength(class string, args []string) (int, error) {
 	if len(args) != 1 {
-		return fmt.Errorf("Strip: expects LENGTH")
+		return 0, fmt.Errorf("%s: expects LENGTH", class)
 	}
 	n, err := strconv.Atoi(args[0])
 	if err != nil || n < 0 {
-		return fmt.Errorf("Strip: bad length %q", args[0])
+		return 0, fmt.Errorf("%s: bad length %q", class, args[0])
 	}
-	e.n = n
-	return nil
+	return n, nil
 }
 
-// Push strips and forwards.
-func (e *Strip) Push(port int, p *packet.Packet) {
-	e.Work()
+// Configure accepts the byte count.
+func (e *Strip) Configure(args []string) (err error) {
+	e.n, err = parseLength("Strip", args)
+	return err
+}
+
+// strip is the step itself, shared with IPInputCombo; false means p is
+// shorter than the strip length and untouched.
+func (e *Strip) strip(p *packet.Packet) bool {
 	if p.Len() < e.n {
-		e.Drop(p)
-		return
+		return false
 	}
 	p.Pull(e.n)
-	e.Output(0).Push(p)
+	return true
+}
+
+// SimpleAction strips; too-short packets are dropped.
+func (e *Strip) SimpleAction(p *packet.Packet) *packet.Packet {
+	if !e.strip(p) {
+		e.Drop(p)
+		return nil
+	}
+	return p
 }
 
 // Unstrip restores bytes previously stripped from the front.
@@ -123,23 +132,15 @@ type Unstrip struct {
 }
 
 // Configure accepts the byte count.
-func (e *Unstrip) Configure(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("Unstrip: expects LENGTH")
-	}
-	n, err := strconv.Atoi(args[0])
-	if err != nil || n < 0 {
-		return fmt.Errorf("Unstrip: bad length %q", args[0])
-	}
-	e.n = n
-	return nil
+func (e *Unstrip) Configure(args []string) (err error) {
+	e.n, err = parseLength("Unstrip", args)
+	return err
 }
 
-// Push restores bytes and forwards.
-func (e *Unstrip) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction restores the bytes.
+func (e *Unstrip) SimpleAction(p *packet.Packet) *packet.Packet {
 	p.Push(e.n)
-	e.Output(0).Push(p)
+	return p
 }
 
 // EtherEncap prepends a fixed Ethernet header. ARP elimination (§7.2)
@@ -169,11 +170,10 @@ func (e *EtherEncap) Configure(args []string) error {
 	return nil
 }
 
-// Push encapsulates and forwards.
-func (e *EtherEncap) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction encapsulates.
+func (e *EtherEncap) SimpleAction(p *packet.Packet) *packet.Packet {
 	encapEther(p, e.etherType, e.src, e.dst)
-	e.Output(0).Push(p)
+	return p
 }
 
 func encapEther(p *packet.Packet, etherType uint16, src, dst packet.EtherAddr) {
@@ -203,26 +203,23 @@ func (e *HostEtherFilter) Configure(args []string) error {
 	return err
 }
 
-// Push filters on the destination MAC.
-func (e *HostEtherFilter) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction filters on the destination MAC.
+func (e *HostEtherFilter) SimpleAction(p *packet.Packet) *packet.Packet {
 	eh, ok := p.EtherHeader()
 	if !ok {
 		e.Drop(p)
-		return
+		return nil
 	}
 	dst := eh.Dst()
 	switch {
 	case dst == e.addr:
-		e.Output(0).Push(p)
 	case dst[0]&1 == 1: // broadcast or multicast
 		p.Anno.MACBroadcast = true
-		e.Output(0).Push(p)
-	case e.NOutputs() > 1:
-		e.Output(1).Push(p)
 	default:
-		e.Drop(p)
+		e.CheckedPush(1, p)
+		return nil
 	}
+	return p
 }
 
 // ARPQuerier encapsulates IP packets in Ethernet headers found by ARP.
@@ -243,21 +240,23 @@ type ARPQuerier struct {
 	Drops     int64
 }
 
-// Configure accepts our IP and Ethernet addresses.
-func (e *ARPQuerier) Configure(args []string) error {
+// parseIPEth parses the IP ETH argument pair naming an interface.
+func parseIPEth(class string, args []string) (ip packet.IP4, eth packet.EtherAddr, err error) {
 	if len(args) != 2 {
-		return fmt.Errorf("ARPQuerier: expects IP ETH")
+		return ip, eth, fmt.Errorf("%s: expects IP ETH", class)
 	}
-	var err error
-	if e.ip, err = packet.ParseIP4(args[0]); err != nil {
-		return err
+	if ip, err = packet.ParseIP4(args[0]); err == nil {
+		eth, err = packet.ParseEther(args[1])
 	}
-	if e.eth, err = packet.ParseEther(args[1]); err != nil {
-		return err
-	}
+	return ip, eth, err
+}
+
+// Configure accepts our IP and Ethernet addresses.
+func (e *ARPQuerier) Configure(args []string) (err error) {
+	e.ip, e.eth, err = parseIPEth("ARPQuerier", args)
 	e.tbl = map[packet.IP4]packet.EtherAddr{}
 	e.wait = map[packet.IP4]*packet.Packet{}
-	return nil
+	return err
 }
 
 // Push handles IP packets (port 0) and ARP responses (port 1).
@@ -267,21 +266,20 @@ func (e *ARPQuerier) Push(port int, p *packet.Packet) {
 		e.handleResponse(p)
 		return
 	}
-	next := p.Anno.DstIPAnno
-	if next.IsZero() {
-		// Fall back to the IP header destination.
-		if ih, ok := p.IPHeader(); ok {
-			next = ih.Dst()
-		}
-	}
+	next := nextHop(p)
 	if ea, ok := e.tbl[next]; ok {
 		encapEther(p, packet.EtherTypeIP, e.eth, ea)
 		e.Output(0).Push(p)
 		return
 	}
-	// Unknown: hold the packet (replacing any previous) and query. The
-	// hold outlives this push, so any flow-recording mark dies here: the
-	// release happens on a later response path.
+	e.holdAndQuery(next, p)
+}
+
+// holdAndQuery takes the miss path: hold p (replacing any packet already
+// waiting on next) and emit an ARP query. The hold outlives this push,
+// so any flow-recording mark dies here: the release happens on a later
+// response path.
+func (e *ARPQuerier) holdAndQuery(next packet.IP4, p *packet.Packet) {
 	p.Anno.FlowPending = nil
 	old := e.wait[next]
 	e.wait[next] = p
@@ -290,7 +288,7 @@ func (e *ARPQuerier) Push(port int, p *packet.Packet) {
 		e.Drop(old)
 	}
 	atomic.AddInt64(&e.Queries, 1)
-	e.Output(0).Push(e.makeQuery(next))
+	e.Output(0).Push(makeARP(packet.ARPOpRequest, packet.BroadcastEther, e.eth, e.ip, packet.EtherAddr{}, next))
 }
 
 // PushBatch encapsulates a batch of IP packets, forwarding runs whose
@@ -310,26 +308,13 @@ func (e *ARPQuerier) PushBatch(port int, ps []*packet.Packet) {
 	}
 	for _, p := range ps {
 		e.Work()
-		next := p.Anno.DstIPAnno
-		if next.IsZero() {
-			if ih, ok := p.IPHeader(); ok {
-				next = ih.Dst()
-			}
-		}
+		next := nextHop(p)
 		ea, ok := e.tbl[next]
 		if !ok {
 			// Miss: emit pending hits first so output order matches the
-			// scalar path, then take the hold-and-query path.
+			// scalar path.
 			flush()
-			p.Anno.FlowPending = nil
-			old := e.wait[next]
-			e.wait[next] = p
-			if old != nil {
-				atomic.AddInt64(&e.Drops, 1)
-				e.Drop(old)
-			}
-			atomic.AddInt64(&e.Queries, 1)
-			e.Output(0).Push(e.makeQuery(next))
+			e.holdAndQuery(next, p)
 			continue
 		}
 		encapEther(p, packet.EtherTypeIP, e.eth, ea)
@@ -339,19 +324,22 @@ func (e *ARPQuerier) PushBatch(port int, ps []*packet.Packet) {
 	flush()
 }
 
-func (e *ARPQuerier) makeQuery(target packet.IP4) *packet.Packet {
+// makeARP builds an Ethernet-framed ARP packet from srcEth/srcIP, sent
+// to dstEth, about tgtEth/tgtIP.
+func makeARP(op uint16, dstEth, srcEth packet.EtherAddr, srcIP packet.IP4, tgtEth packet.EtherAddr, tgtIP packet.IP4) *packet.Packet {
 	q := packet.Make(packet.DefaultHeadroom, packet.EtherHeaderLen+packet.ARPHeaderLen, 0)
 	d := q.Data()
 	eh := packet.Ether(d[:packet.EtherHeaderLen])
-	eh.SetDst(packet.BroadcastEther)
-	eh.SetSrc(e.eth)
+	eh.SetDst(dstEth)
+	eh.SetSrc(srcEth)
 	eh.SetType(packet.EtherTypeARP)
 	ah := packet.ARP(d[packet.EtherHeaderLen:])
 	ah.InitARP()
-	ah.SetOp(packet.ARPOpRequest)
-	ah.SetSenderEther(e.eth)
-	ah.SetSenderIP(e.ip)
-	ah.SetTargetIP(target)
+	ah.SetOp(op)
+	ah.SetSenderEther(srcEth)
+	ah.SetSenderIP(srcIP)
+	ah.SetTargetEther(tgtEth)
+	ah.SetTargetIP(tgtIP)
 	return q
 }
 
@@ -395,42 +383,21 @@ type ARPResponder struct {
 }
 
 // Configure accepts IP ETH.
-func (e *ARPResponder) Configure(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("ARPResponder: expects IP ETH")
-	}
-	var err error
-	if e.ip, err = packet.ParseIP4(args[0]); err != nil {
-		return err
-	}
-	if e.eth, err = packet.ParseEther(args[1]); err != nil {
-		return err
-	}
-	return nil
+func (e *ARPResponder) Configure(args []string) (err error) {
+	e.ip, e.eth, err = parseIPEth("ARPResponder", args)
+	return err
 }
 
-// Push answers ARP requests addressed to our IP.
-func (e *ARPResponder) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction answers ARP requests addressed to our IP with a reply
+// that takes the request's place.
+func (e *ARPResponder) SimpleAction(p *packet.Packet) *packet.Packet {
 	ah, ok := p.ARPHeader(true)
 	if !ok || ah.Op() != packet.ARPOpRequest || ah.TargetIP() != e.ip {
 		e.Drop(p)
-		return
+		return nil
 	}
-	reply := packet.Make(packet.DefaultHeadroom, packet.EtherHeaderLen+packet.ARPHeaderLen, 0)
-	d := reply.Data()
-	eh := packet.Ether(d[:packet.EtherHeaderLen])
-	eh.SetDst(ah.SenderEther())
-	eh.SetSrc(e.eth)
-	eh.SetType(packet.EtherTypeARP)
-	rh := packet.ARP(d[packet.EtherHeaderLen:])
-	rh.InitARP()
-	rh.SetOp(packet.ARPOpReply)
-	rh.SetSenderEther(e.eth)
-	rh.SetSenderIP(e.ip)
-	rh.SetTargetEther(ah.SenderEther())
-	rh.SetTargetIP(ah.SenderIP())
+	reply := makeARP(packet.ARPOpReply, ah.SenderEther(), e.eth, e.ip, ah.SenderEther(), ah.SenderIP())
 	p.Kill()
 	atomic.AddInt64(&e.Replies, 1)
-	e.Output(0).Push(reply)
+	return reply
 }

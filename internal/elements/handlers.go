@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/packet"
 )
 
 // Handler exports for the element library. Names follow Click's
@@ -135,20 +134,11 @@ func (e *ARPQuerier) Handlers() []core.Handler {
 			return int64(len(e.tbl))
 		}),
 		{Name: "insert", Write: func(v string) error {
-			fields := strings.Fields(v)
-			if len(fields) != 2 {
-				return fmt.Errorf("ARPQuerier: insert expects IP ETH, got %q", v)
+			ip, eth, err := parseIPEth("ARPQuerier: insert", strings.Fields(v))
+			if err == nil {
+				e.InsertEntry(ip, eth)
 			}
-			ip, err := packet.ParseIP4(fields[0])
-			if err != nil {
-				return err
-			}
-			eth, err := packet.ParseEther(fields[1])
-			if err != nil {
-				return err
-			}
-			e.InsertEntry(ip, eth)
-			return nil
+			return err
 		}},
 	}
 }
@@ -213,14 +203,5 @@ func (e *classifierBase) Handlers() []core.Handler {
 		intHandler("matched", func() int64 { return e.Matched }),
 		intHandler("dropped", func() int64 { return e.Dropped }),
 		{Name: "program", Read: func() string { return e.prog.String() }},
-	}
-}
-
-// Handlers exports compiled-classification statistics.
-func (e *FastClassifier) Handlers() []core.Handler {
-	return []core.Handler{
-		intHandler("matched", func() int64 { return e.Matched }),
-		intHandler("dropped", func() int64 { return e.Dropped }),
-		{Name: "program", Read: func() string { return e.compiled.Program().String() }},
 	}
 }

@@ -45,50 +45,41 @@ func (e *CheckIPHeader) Configure(args []string) error {
 	return nil
 }
 
-func (e *CheckIPHeader) fail(p *packet.Packet) {
-	atomic.AddInt64(&e.Bad, 1)
-	if e.NOutputs() > 1 {
-		e.Output(1).Push(p)
-		return
-	}
-	e.Drop(p)
-}
-
-// Push validates the header.
-func (e *CheckIPHeader) Push(port int, p *packet.Packet) {
-	e.Work()
-	e.MemFetch(1) // first touch of the packet's IP header
+// valid is the header check itself, shared with IPInputCombo: it
+// reports whether p starts with a sound IPv4 header from an acceptable
+// source, and on success sets the network-header annotation and trims
+// link-layer padding beyond the IP total length.
+func (e *CheckIPHeader) valid(p *packet.Packet) bool {
 	d := p.Data()
 	if len(d) < packet.IPHeaderMinLen {
-		e.fail(p)
-		return
+		return false
 	}
 	h := packet.IP4Header(d)
 	hl := h.HeaderLen()
 	if h.Version() != 4 || hl < packet.IPHeaderMinLen || hl > len(d) {
-		e.fail(p)
-		return
+		return false
 	}
 	tl := h.TotalLen()
-	if tl < hl || tl > len(d) {
-		e.fail(p)
-		return
-	}
-	if !h.ChecksumOK() {
-		e.fail(p)
-		return
-	}
-	if e.bad[h.Src()] {
-		e.fail(p)
-		return
+	if tl < hl || tl > len(d) || !h.ChecksumOK() || e.bad[h.Src()] {
+		return false
 	}
 	p.Anno.NetworkOffset = 0
-	// Trim link-layer padding beyond the IP total length.
 	if tl < p.Len() {
 		p.Take(p.Len() - tl)
 	}
+	return true
+}
+
+// SimpleAction validates the header; failures leave on output 1.
+func (e *CheckIPHeader) SimpleAction(p *packet.Packet) *packet.Packet {
+	e.MemFetch(1) // first touch of the packet's IP header
+	if !e.valid(p) {
+		atomic.AddInt64(&e.Bad, 1)
+		e.CheckedPush(1, p)
+		return nil
+	}
 	atomic.AddInt64(&e.Good, 1)
-	e.Output(0).Push(p)
+	return p
 }
 
 // GetIPAddress copies the IP address at a byte offset into the
@@ -112,14 +103,13 @@ func (e *GetIPAddress) Configure(args []string) error {
 	return nil
 }
 
-// Push annotates and forwards.
-func (e *GetIPAddress) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction annotates.
+func (e *GetIPAddress) SimpleAction(p *packet.Packet) *packet.Packet {
 	d := p.Data()
 	if len(d) >= e.offset+4 {
 		copy(p.Anno.DstIPAnno[:], d[e.offset:e.offset+4])
 	}
-	e.Output(0).Push(p)
+	return p
 }
 
 // route is one LookupIPRoute table entry.
@@ -254,24 +244,42 @@ func (e *LookupIPRoute) Push(port int, p *packet.Packet) {
 	e.Work()
 	e.Charge(int64(len(e.routes)) * costLookupPerRoute)
 	atomic.AddInt64(&e.Lookups, 1)
-	dst := p.Anno.DstIPAnno
-	if dst.IsZero() {
-		if ih, ok := p.IPHeader(); ok {
-			dst = ih.Dst()
-		}
-	}
+	dst := nextHop(p)
 	r, ok := e.Lookup(dst)
-	if !ok || r.port >= e.NOutputs() {
-		atomic.AddInt64(&e.NoRoute, 1)
-		e.Drop(p)
+	pushRouted(&e.Base, &e.NoRoute, r, ok, dst, p)
+}
+
+// nextHop returns the address p is forwarded towards: the destination
+// annotation, or the IP header's destination when no element set one.
+func nextHop(p *packet.Packet) packet.IP4 {
+	if dst := p.Anno.DstIPAnno; !dst.IsZero() {
+		return dst
+	}
+	return headerDst(p)
+}
+
+func headerDst(p *packet.Packet) (dst packet.IP4) {
+	if ih, ok := p.IPHeader(); ok {
+		dst = ih.Dst()
+	}
+	return dst
+}
+
+// pushRouted is the forwarding step of both routing elements, given the
+// route r their table holds for p's next hop dst: leave the gateway (or
+// dst itself, for a directly connected route) in the annotation and push
+// p out of b on the route's port. A miss is counted and dropped.
+func pushRouted(b *core.Base, noRoute *int64, r route, ok bool, dst packet.IP4, p *packet.Packet) {
+	if !ok || r.port >= b.NOutputs() {
+		atomic.AddInt64(noRoute, 1)
+		b.Drop(p)
 		return
 	}
 	if !r.gw.IsZero() {
-		p.Anno.DstIPAnno = r.gw
-	} else {
-		p.Anno.DstIPAnno = dst
+		dst = r.gw
 	}
-	e.Output(r.port).Push(p)
+	p.Anno.DstIPAnno = dst
+	b.Output(r.port).Push(p)
 }
 
 // DropBroadcasts drops packets that arrived as link-level broadcasts —
@@ -281,15 +289,17 @@ type DropBroadcasts struct {
 	Drops int64
 }
 
-// Push filters on the MACBroadcast annotation.
-func (e *DropBroadcasts) Push(port int, p *packet.Packet) {
-	e.Work()
-	if p.Anno.MACBroadcast {
+// linkBroadcast is the test DropBroadcasts and IPOutputCombo apply.
+func linkBroadcast(p *packet.Packet) bool { return p.Anno.MACBroadcast }
+
+// SimpleAction filters on the MACBroadcast annotation.
+func (e *DropBroadcasts) SimpleAction(p *packet.Packet) *packet.Packet {
+	if linkBroadcast(p) {
 		atomic.AddInt64(&e.Drops, 1)
 		e.Drop(p)
-		return
+		return nil
 	}
-	e.Output(0).Push(p)
+	return p
 }
 
 // IPGWOptions processes IP options a gateway must handle (record route,
@@ -301,46 +311,46 @@ type IPGWOptions struct {
 	Bad  int64
 }
 
+// parseMyAddr parses the single MYADDR argument naming the router's
+// address on an interface.
+func parseMyAddr(class string, args []string) (packet.IP4, error) {
+	if len(args) != 1 {
+		return packet.IP4{}, fmt.Errorf("%s: expects MYADDR", class)
+	}
+	return packet.ParseIP4(args[0])
+}
+
 // Configure accepts the router's address for record-route/timestamp
 // slots.
-func (e *IPGWOptions) Configure(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("IPGWOptions: expects MYADDR")
-	}
-	var err error
-	e.myIP, err = packet.ParseIP4(args[0])
+func (e *IPGWOptions) Configure(args []string) (err error) {
+	e.myIP, err = parseMyAddr("IPGWOptions", args)
 	return err
 }
 
-// Push processes options.
-func (e *IPGWOptions) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction processes options; malformed ones leave on output 1.
+func (e *IPGWOptions) SimpleAction(p *packet.Packet) *packet.Packet {
 	h, ok := p.IPHeader()
 	if !ok {
 		e.Drop(p)
-		return
+		return nil
 	}
-	hl := h.HeaderLen()
-	if hl <= packet.IPHeaderMinLen {
-		e.Output(0).Push(p)
-		return
+	if !e.processOptions(h) {
+		atomic.AddInt64(&e.Bad, 1)
+		e.CheckedPush(1, p)
+		return nil
 	}
-	if e.processOptions(p, h, hl) {
-		e.Output(0).Push(p)
-		return
-	}
-	atomic.AddInt64(&e.Bad, 1)
-	if e.NOutputs() > 1 {
-		e.Output(1).Push(p)
-	} else {
-		e.Drop(p)
-	}
+	return p
 }
 
-// processOptions walks the options area, filling record-route slots.
-// It returns false on a malformed option.
-func (e *IPGWOptions) processOptions(p *packet.Packet, h packet.IP4Header, hl int) bool {
-	opts := h[packet.IPHeaderMinLen:hl]
+// processOptions handles the options of h, if it has any, and returns
+// false on a malformed one. IPOutputCombo shares it.
+func (e *IPGWOptions) processOptions(h packet.IP4Header) bool {
+	return h.HeaderLen() == packet.IPHeaderMinLen || e.walkOptions(h)
+}
+
+// walkOptions walks the options area, filling record-route slots.
+func (e *IPGWOptions) walkOptions(h packet.IP4Header) bool {
+	opts := h[packet.IPHeaderMinLen:h.HeaderLen()]
 	changed := false
 	for i := 0; i < len(opts); {
 		switch opts[i] {
@@ -388,26 +398,25 @@ type FixIPSrc struct {
 }
 
 // Configure accepts the interface address.
-func (e *FixIPSrc) Configure(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("FixIPSrc: expects MYADDR")
-	}
-	var err error
-	e.myIP, err = packet.ParseIP4(args[0])
+func (e *FixIPSrc) Configure(args []string) (err error) {
+	e.myIP, err = parseMyAddr("FixIPSrc", args)
 	return err
 }
 
-// Push rewrites flagged packets.
-func (e *FixIPSrc) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction rewrites flagged packets.
+func (e *FixIPSrc) SimpleAction(p *packet.Packet) *packet.Packet {
 	if p.Anno.FixIPSrc {
-		if h, ok := p.IPHeader(); ok {
-			h.SetSrc(e.myIP)
-			h.UpdateChecksum()
-		}
-		p.Anno.FixIPSrc = false
+		e.rewrite(p)
 	}
-	e.Output(0).Push(p)
+	return p
+}
+
+func (e *FixIPSrc) rewrite(p *packet.Packet) {
+	if h, ok := p.IPHeader(); ok {
+		h.SetSrc(e.myIP)
+		h.UpdateChecksum()
+	}
+	p.Anno.FixIPSrc = false
 }
 
 // DecIPTTL decrements the TTL with an incremental checksum update;
@@ -418,27 +427,32 @@ type DecIPTTL struct {
 	Expired int64
 }
 
-// Push decrements or expires.
-func (e *DecIPTTL) Push(port int, p *packet.Packet) {
-	e.Work()
-	h, ok := p.IPHeader()
-	if !ok {
-		e.Drop(p)
-		return
-	}
+// decTTL decrements the TTL of p, whose IP header is h, on a private
+// copy of the data; false means the TTL has run out and p is untouched.
+// DecIPTTL and IPOutputCombo share it.
+func decTTL(p *packet.Packet, h packet.IP4Header) bool {
 	if h.TTL() <= 1 {
-		atomic.AddInt64(&e.Expired, 1)
-		if e.NOutputs() > 1 {
-			e.Output(1).Push(p)
-		} else {
-			e.Drop(p)
-		}
-		return
+		return false
 	}
 	p.Uniqueify()
 	h, _ = p.IPHeader()
 	h.DecTTLIncremental()
-	e.Output(0).Push(p)
+	return true
+}
+
+// SimpleAction decrements or expires.
+func (e *DecIPTTL) SimpleAction(p *packet.Packet) *packet.Packet {
+	h, ok := p.IPHeader()
+	if !ok {
+		e.Drop(p)
+		return nil
+	}
+	if !decTTL(p, h) {
+		atomic.AddInt64(&e.Expired, 1)
+		e.CheckedPush(1, p)
+		return nil
+	}
+	return p
 }
 
 // IPFragmenter splits packets larger than the MTU into fragments;
@@ -478,17 +492,15 @@ func (e *IPFragmenter) Push(port int, p *packet.Packet) {
 	}
 	if h.DontFragment() {
 		atomic.AddInt64(&e.DFDrops, 1)
-		if e.NOutputs() > 1 {
-			e.Output(1).Push(p)
-		} else {
-			e.Drop(p)
-		}
+		e.CheckedPush(1, p)
 		return
 	}
-	e.fragment(p, h)
+	e.fragment(p, h, e.Output(0))
 }
 
-func (e *IPFragmenter) fragment(p *packet.Packet, h packet.IP4Header) {
+// fragment splits p, whose IP header is h, into MTU-sized fragments
+// pushed on out, and kills p. IPOutputCombo shares it.
+func (e *IPFragmenter) fragment(p *packet.Packet, h packet.IP4Header, out *core.OutPort) {
 	hl := h.HeaderLen()
 	payload := p.Data()[hl:]
 	// Fragment payload size: multiple of 8.
@@ -508,7 +520,7 @@ func (e *IPFragmenter) fragment(p *packet.Packet, h packet.IP4Header) {
 		copy(d[hl:], payload[off:end])
 		fh := packet.IP4Header(d)
 		fh.SetTotalLen(hl + (end - off))
-		fo := (origOff & 0xe000) | ((origOff&0x1fff)*1 + uint16(off/8))
+		fo := (origOff & 0xe000) | ((origOff & 0x1fff) + uint16(off/8))
 		if !last || more {
 			fo |= 0x2000 // more fragments
 		}
@@ -517,7 +529,7 @@ func (e *IPFragmenter) fragment(p *packet.Packet, h packet.IP4Header) {
 		frag.Anno = p.Anno
 		frag.Anno.NetworkOffset = 0
 		atomic.AddInt64(&e.Fragments, 1)
-		e.Output(0).Push(frag)
+		out.Push(frag)
 	}
 	p.Kill()
 }
@@ -562,20 +574,19 @@ func (e *ICMPError) Configure(args []string) error {
 	return nil
 }
 
-// Push builds the error packet.
-func (e *ICMPError) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction builds the error packet that takes p's place.
+func (e *ICMPError) SimpleAction(p *packet.Packet) *packet.Packet {
 	h, ok := p.IPHeader()
 	if !ok {
 		e.Drop(p)
-		return
+		return nil
 	}
 	// Never generate errors about ICMP errors, fragments, broadcasts,
 	// or bad sources (RFC 1812).
 	if h.Proto() == packet.IPProtoICMP || h.FragOff()&0x1fff != 0 ||
 		p.Anno.MACBroadcast || h.Src().IsZero() || h.Src().IsBroadcast() {
 		e.Drop(p)
-		return
+		return nil
 	}
 	src := h.Src()
 	// Include the original IP header + 8 bytes of payload.
@@ -605,7 +616,7 @@ func (e *ICMPError) Push(port int, p *packet.Packet) {
 	ep.Anno.DstIPAnno = src
 	p.Kill()
 	atomic.AddInt64(&e.Generated, 1)
-	e.Output(0).Push(ep)
+	return ep
 }
 
 // ICMPPingResponder answers ICMP echo requests addressed to the router:
@@ -618,27 +629,22 @@ type ICMPPingResponder struct {
 	Replies int64
 }
 
-// Push answers echo requests.
-func (e *ICMPPingResponder) Push(port int, p *packet.Packet) {
-	e.Work()
+// SimpleAction answers echo requests; anything else leaves on output 1.
+func (e *ICMPPingResponder) SimpleAction(p *packet.Packet) *packet.Packet {
 	h, ok := p.IPHeader()
-	if !ok || h.Proto() != packet.IPProtoICMP {
-		e.passThrough(p)
-		return
+	hl := 0
+	if ok {
+		hl = h.HeaderLen()
+		ok = h.Proto() == packet.IPProtoICMP && len(h) >= hl+packet.ICMPHeaderLen &&
+			h[hl] == packet.ICMPEchoRequest
 	}
-	hl := h.HeaderLen()
-	if len(h) < hl+packet.ICMPHeaderLen {
-		e.passThrough(p)
-		return
-	}
-	icmp := h[hl:]
-	if icmp[0] != packet.ICMPEchoRequest {
-		e.passThrough(p)
-		return
+	if !ok {
+		e.CheckedPush(1, p)
+		return nil
 	}
 	p.Uniqueify()
 	h, _ = p.IPHeader()
-	icmp = h[hl:]
+	icmp := h[hl:]
 	src, dst := h.Src(), h.Dst()
 	h.SetSrc(dst)
 	h.SetDst(src)
@@ -651,15 +657,7 @@ func (e *ICMPPingResponder) Push(port int, p *packet.Packet) {
 	p.Anno.DstIPAnno = src
 	p.Anno.Paint = 0 // replies never look like redirect candidates
 	atomic.AddInt64(&e.Replies, 1)
-	e.Output(0).Push(p)
-}
-
-func (e *ICMPPingResponder) passThrough(p *packet.Packet) {
-	if e.NOutputs() > 1 {
-		e.Output(1).Push(p)
-		return
-	}
-	e.Drop(p)
+	return p
 }
 
 // Handlers exports the reply count.

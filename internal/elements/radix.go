@@ -1,8 +1,6 @@
 package elements
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/packet"
 )
@@ -73,24 +71,9 @@ func (e *RadixIPLookup) Lookup(a packet.IP4) (route, bool) {
 // Push routes on the destination annotation, like LookupIPRoute.
 func (e *RadixIPLookup) Push(port int, p *packet.Packet) {
 	e.Work()
-	dst := p.Anno.DstIPAnno
-	if dst.IsZero() {
-		if ih, ok := p.IPHeader(); ok {
-			dst = ih.Dst()
-		}
-	}
+	dst := nextHop(p)
 	r, ok := e.Lookup(dst)
-	if !ok || r.port >= e.NOutputs() {
-		atomic.AddInt64(&e.NoRoute, 1)
-		e.Drop(p)
-		return
-	}
-	if !r.gw.IsZero() {
-		p.Anno.DstIPAnno = r.gw
-	} else {
-		p.Anno.DstIPAnno = dst
-	}
-	e.Output(r.port).Push(p)
+	pushRouted(&e.Base, &e.NoRoute, r, ok, dst, p)
 }
 
 // Handlers exports routing statistics.

@@ -85,7 +85,7 @@ func Register(reg *core.Registry) {
 			Make: func() core.Element { return &FlowCache{} }},
 		{Name: "PaintSwitch", Processing: "h/h", Ports: ports(graph.Exactly(1), graph.AtLeast(1)),
 			Make: func() core.Element { return &PaintSwitch{} }, WorkCycles: costStaticSwitch},
-		{Name: "RED", Processing: "a/a", Ports: one,
+		{Name: "RED", Processing: "h/h", Ports: one,
 			Make: func() core.Element { return &RED{} }, WorkCycles: costRED},
 		{Name: "ScheduleInfo", Processing: "a/a", Ports: fixed(0, 0),
 			Make: func() core.Element { return &ScheduleInfo{} }},

@@ -4,7 +4,6 @@ import (
 	stdio "io"
 	"sync/atomic"
 
-	"repro/internal/elements"
 	"repro/internal/packet"
 )
 
@@ -141,8 +140,3 @@ func (d *Device) TxRoom() bool { return true }
 
 // TxClean implements elements.Device: nothing to reclaim.
 func (d *Device) TxClean() int { return 0 }
-
-var (
-	_ elements.Device      = (*Device)(nil)
-	_ elements.BatchDevice = (*Device)(nil)
-)

@@ -1,4 +1,4 @@
-package io
+package io_test
 
 import (
 	"bytes"
@@ -11,11 +11,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/elements"
+	pktio "repro/internal/io"
 	"repro/internal/packet"
 )
 
+// The adapter is what PollDevice/FromDevice/ToDevice drive. The
+// assertion lives here, not beside Device, so the element library can
+// import this package's pcap codec.
+var (
+	_ elements.Device      = (*pktio.Device)(nil)
+	_ elements.BatchDevice = (*pktio.Device)(nil)
+)
+
 func TestUDPBackendEcho(t *testing.T) {
-	be := NewUDP("127.0.0.1:0", "")
+	be := pktio.NewUDP("127.0.0.1:0", "")
 	if err := be.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +79,8 @@ func TestUDPBackendEcho(t *testing.T) {
 // UDP backends, run on its own goroutine.
 type loopbackRouter struct {
 	rt   *core.Router
-	rx   *UDP
-	tx   *UDP
+	rx   *pktio.UDP
+	tx   *pktio.UDP
 	stop atomic.Bool
 	wg   sync.WaitGroup
 }
@@ -87,8 +96,8 @@ pd -> cnt -> q -> td;
 func newLoopbackRouter(t *testing.T) *loopbackRouter {
 	t.Helper()
 	lr := &loopbackRouter{
-		rx: NewUDP("127.0.0.1:0", ""),
-		tx: NewUDP("127.0.0.1:0", ""),
+		rx: pktio.NewUDP("127.0.0.1:0", ""),
+		tx: pktio.NewUDP("127.0.0.1:0", ""),
 	}
 	if err := lr.rx.Open(); err != nil {
 		t.Fatal(err)
@@ -97,8 +106,8 @@ func newLoopbackRouter(t *testing.T) *loopbackRouter {
 		t.Fatal(err)
 	}
 	env := map[string]interface{}{
-		"device:eth0": NewDevice("eth0", lr.rx),
-		"device:eth1": NewDevice("eth1", lr.tx),
+		"device:eth0": pktio.NewDevice("eth0", lr.rx),
+		"device:eth1": pktio.NewDevice("eth1", lr.tx),
 	}
 	rt, err := core.BuildFromText(loopbackConfig, "loopback", elements.NewRegistry(), core.BuildOptions{Env: env})
 	if err != nil {
@@ -212,7 +221,7 @@ func TestUDPLoopbackTwoRouters(t *testing.T) {
 				}
 			}
 		}
-		for name, dev := range map[string]*UDP{"rx": lr.rx, "tx": lr.tx} {
+		for name, dev := range map[string]*pktio.UDP{"rx": lr.rx, "tx": lr.tx} {
 			if d := atomic.LoadInt64(&dev.RxDropped); d != 0 {
 				t.Errorf("router %s %s backend dropped %d frames in the ring", label, name, d)
 			}

@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -105,14 +106,32 @@ func (p *Plane) serve(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxBody bounds a configuration or handler value a request may carry.
+const maxBody = 1 << 20
+
+// readBody reads a request body of at most maxBody bytes. A larger one
+// is refused with 413 rather than cut short and handed to the parser;
+// ok is false when the response has been written.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("mgmt: request body exceeds %d bytes", maxBody))
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, err)
+	}
+	return body, err == nil
+}
+
 func (p *Plane) serveTenant(w http.ResponseWriter, r *http.Request, id string) {
 	switch r.Method {
 	case http.MethodPost, http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
+		var err error
 		if r.Method == http.MethodPost {
 			err = p.Create(id, string(body), Limits{})
 		} else {
@@ -185,9 +204,8 @@ func (p *Plane) serveHandlerPath(w http.ResponseWriter, r *http.Request, id, res
 			"tenant": id, "element": element, "handler": handler, "value": v,
 		})
 	case http.MethodPost, http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		value := strings.TrimSpace(string(body))

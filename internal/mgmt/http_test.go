@@ -211,6 +211,38 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 }
 
+// A body over the 1 MiB limit is refused whole with 413 on both routes
+// that read one. It used to be cut at the limit and handed on, so an
+// oversize configuration surfaced as a parse error somewhere in its
+// middle — or, padded with a leading comment, as a successfully created
+// empty tenant.
+func TestHTTPOversizeBodyIs413(t *testing.T) {
+	p, err := NewPlane(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	mustCreate(t, p, "t1", tenantConfig(0, 8))
+
+	pad := "// " + strings.Repeat("x", maxBody) + "\n"
+	for _, req := range []struct{ method, path string }{
+		{"POST", "/tenants/big"},
+		{"PUT", "/tenants/t1"},
+		{"POST", "/tenants/t1/elements/q/capacity"},
+	} {
+		if code, blob := httpDo(t, req.method, srv.URL+req.path, pad+tenantConfig(0, 8)); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s with a %d-byte body: status %d: %.80s", req.method, req.path, len(pad), code, blob)
+		}
+	}
+	if code, _ := httpDo(t, "GET", srv.URL+"/tenants/big/report", ""); code != http.StatusNotFound {
+		t.Errorf("oversize create left a tenant behind: report status %d", code)
+	}
+	if infos := p.Tenants(); len(infos) != 1 || infos[0].Swaps != 0 {
+		t.Errorf("oversize swap went through: %+v", infos)
+	}
+}
+
 // TestHTTPPlaneReport checks GET /report: the plane-wide snapshot —
 // op-latency counters, config-cache hits, and the sharing table —
 // round-trips over HTTP and reflects the operations performed.

@@ -1,0 +1,15 @@
+#!/bin/sh
+# The two size figures ROADMAP tracks: non-test Go lines in the root
+# module, and how many packet transfers internal/elements still writes
+# by hand (every other class gets all four from its SimpleAction).
+set -eu
+
+cd "$(dirname "$0")/.."
+
+printf 'non-test Go lines (root module): '
+find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+
+for m in Push PushBatch Pull PullBatch SimpleAction; do
+	printf '%s: ' "$m"
+	cat $(ls internal/elements/*.go | grep -v _test.go) | grep -c "^func (e \*[A-Za-z]*) $m(" || true
+done

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full verification: build, vet, tests, the race-detector tier, and the
-# bench module's own tests.
+# bench module's own tests; then the size figures ROADMAP tracks.
 #
 # The race tier is one run of everything under -race. It is there to
 # catch: a control operation (hot-swap, tenant splice, write handler)
@@ -22,3 +22,4 @@ go test -race ./...
 # hold the harness to zero allocations and BENCHMARK.json to the metric
 # names the harness emits.
 (cd bench && go vet ./... && go test ./...)
+sh scripts/loc.sh
