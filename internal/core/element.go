@@ -91,9 +91,6 @@ func (b *Base) base() *Base { return b }
 // Name returns the element's configuration name.
 func (b *Base) Name() string { return b.name }
 
-// ClassName returns the element's class name as wired.
-func (b *Base) ClassName() string { return b.class }
-
 // Router returns the containing router (nil before wiring).
 func (b *Base) Router() *Router { return b.router }
 

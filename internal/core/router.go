@@ -281,9 +281,6 @@ func (rt *Router) Elements() []Element { return rt.elements }
 // Processing returns the resolved push/pull assignment.
 func (rt *Router) Processing() *graph.Processing { return rt.proc }
 
-// Tasks returns the schedulable elements in declaration order.
-func (rt *Router) Tasks() []Task { return rt.tasks }
-
 // RunTaskRound runs every task (weight times each), round-robin, and
 // reports whether any did useful work. This stands in for one iteration
 // of Click's kernel thread loop.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/elements"
 	"repro/internal/graph"
 	"repro/internal/iprouter"
-	"repro/internal/lang"
 	"repro/internal/opt"
 	"repro/internal/packet"
 )
@@ -81,32 +80,9 @@ func runFlowCachePoint(text, variant string,
 	apply func(g *graph.Router, reg *core.Registry) error,
 	ifs []iprouter.Interface, trace []*packet.Packet) (FlowCachePoint, error) {
 	pt := FlowCachePoint{Variant: variant}
-	g, err := lang.ParseRouter(text, "flowcachebench")
+	rt, devs, err := buildOnMemDevices(text, "flowcachebench", apply, ifs, 1)
 	if err != nil {
 		return pt, err
-	}
-	reg := elements.NewRegistry()
-	if apply != nil {
-		if err := apply(g, reg); err != nil {
-			return pt, err
-		}
-	}
-	env := map[string]interface{}{}
-	devs := make([]*memDevice, len(ifs))
-	for i, itf := range ifs {
-		devs[i] = &memDevice{name: itf.Device}
-		env["device:"+itf.Device] = devs[i]
-	}
-	rt, err := core.Build(g, reg, core.BuildOptions{Env: env, Burst: 1})
-	if err != nil {
-		return pt, err
-	}
-	for _, e := range rt.Elements() {
-		if aq, ok := e.(*elements.ARPQuerier); ok {
-			for _, itf := range ifs {
-				aq.InsertEntry(itf.HostAddr, itf.HostEth)
-			}
-		}
 	}
 	c0 := core.Totals(rt.StatsReport()).Cycles
 	for _, p := range trace {

@@ -1,6 +1,13 @@
 package experiments
 
-import "repro/internal/packet"
+import (
+	"repro/internal/core"
+	"repro/internal/elements"
+	"repro/internal/graph"
+	"repro/internal/iprouter"
+	"repro/internal/lang"
+	"repro/internal/packet"
+)
 
 // memDevice is an in-memory elements.Device: a preloaded RX queue and a
 // TX counter. It also implements elements.BatchDevice so the batched
@@ -44,3 +51,39 @@ func (d *memDevice) TxEnqueueBatch(ps []*packet.Packet) int {
 
 func (d *memDevice) TxRoom() bool { return true }
 func (d *memDevice) TxClean() int { return 0 }
+
+// buildOnMemDevices parses a configuration over ifs, applies the passes
+// (if any) and builds the router on one memDevice per interface, with
+// ARP already resolved for every attached host, as after the first
+// exchange on a live link.
+func buildOnMemDevices(text, name string, apply func(g *graph.Router, reg *core.Registry) error,
+	ifs []iprouter.Interface, burst int) (*core.Router, []*memDevice, error) {
+	g, err := lang.ParseRouter(text, name)
+	if err != nil {
+		return nil, nil, err
+	}
+	reg := elements.NewRegistry()
+	if apply != nil {
+		if err := apply(g, reg); err != nil {
+			return nil, nil, err
+		}
+	}
+	env := map[string]interface{}{}
+	devs := make([]*memDevice, len(ifs))
+	for i, itf := range ifs {
+		devs[i] = &memDevice{name: itf.Device}
+		env["device:"+itf.Device] = devs[i]
+	}
+	rt, err := core.Build(g, reg, core.BuildOptions{Env: env, Burst: burst})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, e := range rt.Elements() {
+		if aq, ok := e.(*elements.ARPQuerier); ok {
+			for _, itf := range ifs {
+				aq.InsertEntry(itf.HostAddr, itf.HostEth)
+			}
+		}
+	}
+	return rt, devs, nil
+}

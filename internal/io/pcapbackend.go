@@ -94,15 +94,6 @@ func NewPcap(src []Record, sink *CaptureSink) *Pcap {
 	return &Pcap{src: src, sink: sink}
 }
 
-// OpenPcapFile builds a backend replaying the capture at path.
-func OpenPcapFile(path string, sink *CaptureSink) (*Pcap, error) {
-	recs, err := ReadPcapFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewPcap(recs, sink), nil
-}
-
 // Open implements Backend.
 func (b *Pcap) Open() error { return nil }
 

@@ -6,6 +6,20 @@ import (
 	"testing/quick"
 )
 
+// poolReset discards everything the pool retains.
+func poolReset() {
+	pool.Lock()
+	pool.hdrs, pool.blocks = nil, nil
+	pool.Unlock()
+}
+
+// poolCount returns the number of retained blocks.
+func poolCount() int {
+	pool.Lock()
+	defer pool.Unlock()
+	return len(pool.blocks)
+}
+
 func TestMakeSizes(t *testing.T) {
 	p := Make(10, 20, 30)
 	if p.Len() != 20 {
@@ -401,5 +415,133 @@ func TestBufferRecycling(t *testing.T) {
 	d.Kill()
 	if n := poolCount(); n != 1 {
 		t.Errorf("double Kill pooled %d buffers", n)
+	}
+	if x, y := Make(0, 8, 0), Make(0, 8, 0); x == y {
+		t.Error("double Kill pooled one header twice: two live packets share it")
+	}
+}
+
+// TestRecycledSlackReadsZero pins that one packet's bytes never show in
+// another's headroom or tailroom, whichever of New and Make reissues the
+// buffer, and that a buffer outgrown by Push does not carry them either.
+func TestRecycledSlackReadsZero(t *testing.T) {
+	dirty := func() {
+		p := Make(0, poolBufSize, 0)
+		for i := range p.Data() {
+			p.Data()[i] = 0xee
+		}
+		p.Kill()
+	}
+	allZero := func(what string, b []byte) {
+		t.Helper()
+		for i, c := range b {
+			if c != 0 {
+				t.Fatalf("%s: byte %d reads %#x, want 0", what, i, c)
+			}
+		}
+	}
+	poolReset()
+	dirty()
+	p := New([]byte{1, 2, 3})
+	if !bytes.Equal(p.Data(), []byte{1, 2, 3}) {
+		t.Fatalf("New data = %v", p.Data())
+	}
+	allZero("New headroom", p.Push(DefaultHeadroom)[:DefaultHeadroom])
+	p.Pull(DefaultHeadroom)
+	allZero("New tailroom", p.Put(DefaultTailroom)[3:])
+	p.Kill()
+	dirty()
+	p = Make(8, 16, 8)
+	allZero("Make", p.buf)
+	dirty()
+	p.Data()[0] = 7
+	d := p.Push(8 + 1) // one past the headroom: moves to a second recycled buffer
+	if d[9] != 7 {
+		t.Error("expand lost the data")
+	}
+	allZero("expanded headroom", p.buf[:p.start+9])
+	allZero("expanded tailroom", p.buf[p.end:])
+	p.Kill()
+}
+
+// TestCopiesStayInPool pins the copy paths to the pool: a clone that is
+// written, a Push past the headroom and a Realign each draw their new
+// buffer from the free list and hand the old one back, so none of them
+// allocates or shrinks the pool.
+func TestCopiesStayInPool(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("headers are not recycled under -race")
+	}
+	cycle := func() {
+		p := New(make([]byte, 100))
+		c := p.Clone()
+		c.WritableData()[0] = 1
+		p.Kill()
+		c.Kill()
+		p = New(make([]byte, 100))
+		p.Push(DefaultHeadroom + 1)
+		p.Realign(4, (p.AlignOffset(4)+2)%4)
+		p.Kill()
+	}
+	poolReset()
+	cycle()
+	before := poolCount()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("copy paths allocate %v times per cycle, want 0", allocs)
+	}
+	if after := poolCount(); after != before {
+		t.Errorf("pool holds %d blocks after 100 cycles, %d before: copies leak", after, before)
+	}
+}
+
+// TestSteadyStateAllocatesNothing is the packet layer's allocation gate:
+// after warm-up, a thousand consecutive make/kill and clone/kill round
+// trips never reach the allocator.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("headers are not recycled under -race")
+	}
+	small, big := make([]byte, 64), make([]byte, 1500)
+	held := New(small)
+	defer held.Kill()
+	for name, f := range map[string]func(){
+		"New(64)→Kill":   func() { New(small).Kill() },
+		"New(1500)→Kill": func() { New(big).Kill() },
+		"Clone→Kill":     func() { held.Clone().Kill() },
+	} {
+		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, allocs)
+		}
+	}
+}
+
+// TestUseAfterKillPanics holds race builds to their promise: a killed
+// header is retired, so a stale pointer to it is caught, not aliased
+// to whichever packet was made next.
+func TestUseAfterKillPanics(t *testing.T) {
+	if !RaceEnabled {
+		t.Skip("killed headers are recycled without -race")
+	}
+	p := New([]byte{1})
+	p.Kill()
+	p.Kill()       // still a no-op
+	New([]byte{2}) // would have reused p's header: p is someone else's now
+	for name, use := range map[string]func(){
+		"Kill":   func() { p.Kill() },
+		"Data":   func() { p.Data() },
+		"Len":    func() { p.Len() },
+		"Clone":  func() { p.Clone() },
+		"Push":   func() { p.Push(1) },
+		"Take":   func() { p.Take(0) },
+		"Shared": func() { p.Shared() },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "packet: use after Kill" {
+					t.Errorf("%s after Kill: recovered %v, want the use-after-Kill panic", name, r)
+				}
+			}()
+			use()
+		}()
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Full verification: build, vet, tests, the race-detector tier, and the
-# bench module's own tests; then the size figures ROADMAP tracks.
+# Full verification: build, vet, tests, the race-detector tier, the size
+# figures ROADMAP tracks, and the bench module's own tests.
 #
 # The race tier is one run of everything under -race. It is there to
 # catch: a control operation (hot-swap, tenant splice, write handler)
@@ -8,8 +8,10 @@
 # race between the caller's goroutine and the run loop on transplanted
 # or restructured state; read handlers sampling a running router's live
 # counters (Queue occupancy, drops, high water) with plain loads; the
-# UDP pump feeding the run loop from another goroutine; and packet
-# refcounts and the buffer pool used from more than one goroutine.
+# UDP pump feeding the run loop from another goroutine; packet
+# refcounts and the recycling pool used from more than one goroutine;
+# and a packet touched after `Kill` (race builds retire killed headers,
+# and every packet method panics on one).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -18,8 +20,9 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./...
+sh scripts/loc.sh
 # bench/ is its own module, so ./... above does not reach it: its tests
 # hold the harness to zero allocations and BENCHMARK.json to the metric
-# names the harness emits.
+# names the harness emits. Last, so that a failure there hides nothing
+# above.
 (cd bench && go vet ./... && go test ./...)
-sh scripts/loc.sh
