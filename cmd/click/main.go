@@ -285,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "click: ran %d active task rounds\n", ran)
 	defer rt.Close()
 	// Close backends before reporting so capture files are flushed and
-	// socket pumps stop.
+	// sockets are released.
 	if err := bk.Close(); err != nil {
 		return fail(err)
 	}
@@ -676,8 +676,8 @@ func (b *backendSet) provision(g *graph.Router) (map[string]interface{}, error) 
 	return env, nil
 }
 
-// Close shuts down socket pumps and flushes capture files, reporting
-// each capture's frame count.
+// Close closes sockets and flushes capture files, reporting each
+// capture's frame count.
 func (b *backendSet) Close() error {
 	var first error
 	for _, be := range b.backends {

@@ -1,8 +1,10 @@
 package elements
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/packet"
 )
 
@@ -139,4 +141,76 @@ c [2] -> s2 :: TestSink;
 	if c.Matched != int64(len(pattern)) {
 		t.Errorf("Matched = %d, want %d", c.Matched, len(pattern))
 	}
+}
+
+// burstDevice is a BatchDevice only TestDeviceBurstsAllocateNothing
+// binds, once per type argument: every receive burst is full and every
+// transmitted packet dies.
+type burstDevice[T any] struct{ frame []byte }
+
+func (d *burstDevice[T]) DeviceName() string        { return "eth0" }
+func (d *burstDevice[T]) RxDequeue() *packet.Packet { return packet.New(d.frame) }
+func (d *burstDevice[T]) TxEnqueue(p *packet.Packet) bool {
+	p.Kill()
+	return true
+}
+func (d *burstDevice[T]) TxRoom() bool { return true }
+func (d *burstDevice[T]) TxClean() int { return 0 }
+func (d *burstDevice[T]) RxDequeueBatch(buf []*packet.Packet) int {
+	for i := range buf {
+		buf[i] = packet.New(d.frame)
+	}
+	return len(buf)
+}
+func (d *burstDevice[T]) TxEnqueueBatch(ps []*packet.Packet) int {
+	for _, p := range ps {
+		p.Kill()
+	}
+	return len(ps)
+}
+
+const burstRounds = 1 << 14
+
+// TestDeviceBurstsAllocateNothing: PollDevice and ToDevice at Burst 32
+// on a device type the process has not seen reach the allocator zero
+// times. An interface assertion per burst would, now and then, while
+// its call site's type cache learned the new type. MemStats counts the
+// whole process, and the runtime's own goroutines allocate now and then
+// (the scavenger growing a timer heap), so one of three attempts, each
+// on a type no call site has seen, must read zero.
+func TestDeviceBurstsAllocateNothing(t *testing.T) {
+	if packet.RaceEnabled {
+		t.Skip("headers are not recycled under -race")
+	}
+	p := udpPacket(packet.MakeIP4(1, 1, 1, 1), packet.MakeIP4(2, 2, 2, 2))
+	frame := append([]byte(nil), p.Data()...)
+	p.Kill()
+	var n uint64
+	for _, dev := range []Device{&burstDevice[[1]byte]{frame}, &burstDevice[[2]byte]{frame}, &burstDevice[[3]byte]{frame}} {
+		if n = burstMallocs(t, dev); n == 0 {
+			return
+		}
+	}
+	t.Errorf("%d rounds at Burst 32 allocated %d times, want 0", burstRounds, n)
+}
+
+// burstMallocs builds a fresh router on dev and counts the mallocs of
+// burstRounds rounds once the packet pool is warm.
+func burstMallocs(t *testing.T, dev Device) uint64 {
+	t.Helper()
+	rt, err := core.BuildFromText("PollDevice(eth0) -> Queue(64) -> ToDevice(eth0);", "test", NewRegistry(),
+		core.BuildOptions{Burst: 32, Env: map[string]interface{}{"device:eth0": dev}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		rt.RunTaskRound()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < burstRounds; i++ {
+		rt.RunTaskRound()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

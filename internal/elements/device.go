@@ -89,10 +89,11 @@ func BindsDevice(class string) bool {
 	return ReadsDevice(class) || StripDevirt(class) == "ToDevice"
 }
 
-// rxDequeueBatch drains up to len(buf) packets from dev, batched when
-// the device supports it.
-func rxDequeueBatch(dev Device, buf []*packet.Packet) int {
-	if bd, ok := dev.(BatchDevice); ok {
+// rxDequeueBatch drains up to len(buf) packets from dev, through bd, its
+// BatchDevice or nil, resolved at Initialize: an assertion per burst
+// may allocate while its call site's type cache learns a new type.
+func rxDequeueBatch(dev Device, bd BatchDevice, buf []*packet.Packet) int {
+	if bd != nil {
 		return bd.RxDequeueBatch(buf)
 	}
 	n := 0
@@ -107,10 +108,10 @@ func rxDequeueBatch(dev Device, buf []*packet.Packet) int {
 	return n
 }
 
-// txEnqueueBatch enqueues packets until the ring fills, batched when
-// the device supports it, and returns how many were accepted.
-func txEnqueueBatch(dev Device, ps []*packet.Packet) int {
-	if bd, ok := dev.(BatchDevice); ok {
+// txEnqueueBatch enqueues packets until the ring fills, through bd
+// as rxDequeueBatch, and returns how many were accepted.
+func txEnqueueBatch(dev Device, bd BatchDevice, ps []*packet.Packet) int {
+	if bd != nil {
 		return bd.TxEnqueueBatch(ps)
 	}
 	n := 0
@@ -164,6 +165,7 @@ type PollDevice struct {
 	core.Base
 	devName string
 	dev     Device
+	batch   BatchDevice // dev, when it moves bursts; nil otherwise
 	burst   int
 	scratch []*packet.Packet
 	Recv    int64
@@ -186,6 +188,7 @@ func (e *PollDevice) Initialize(rt *core.Router) error {
 		return err
 	}
 	e.dev = dev
+	e.batch, _ = dev.(BatchDevice)
 	return nil
 }
 
@@ -221,7 +224,7 @@ func (e *PollDevice) RunTask() bool {
 	if cap(e.scratch) < burst {
 		e.scratch = make([]*packet.Packet, burst)
 	}
-	n := rxDequeueBatch(e.dev, e.scratch[:burst])
+	n := rxDequeueBatch(e.dev, e.batch, e.scratch[:burst])
 	if n == 0 {
 		return false
 	}
@@ -260,6 +263,7 @@ type ToDevice struct {
 	core.Base
 	devName string
 	dev     Device
+	batch   BatchDevice // dev, when it moves bursts; nil otherwise
 	burst   int
 	scratch []*packet.Packet
 	Sent    int64
@@ -285,6 +289,7 @@ func (e *ToDevice) Initialize(rt *core.Router) error {
 		return err
 	}
 	e.dev = dev
+	e.batch, _ = dev.(BatchDevice)
 	return nil
 }
 
@@ -365,7 +370,7 @@ func (e *ToDevice) RunTask() bool {
 	for i := 0; i < n; i++ {
 		bytes += int64(e.scratch[i].Len())
 	}
-	sent := txEnqueueBatch(e.dev, e.scratch[:n])
+	sent := txEnqueueBatch(e.dev, e.batch, e.scratch[:n])
 	e.Sent += int64(sent)
 	for i := sent; i < n; i++ {
 		bytes -= int64(e.scratch[i].Len())

@@ -26,9 +26,10 @@ package io
 //
 // Recv and Send are non-blocking: a backend with nothing pending
 // returns 0 rather than waiting, because they run inside the router's
-// cooperative task loop. A replay backend whose source is exhausted
-// returns 0 and io.EOF from Recv so the driver can distinguish "idle
-// for now" from "done forever".
+// cooperative task loop, which polls its backends as Click's polling
+// drivers poll a NIC's receive ring. A replay backend whose source is
+// exhausted returns 0 and io.EOF from Recv so the driver can
+// distinguish "idle for now" from "done forever".
 type Backend interface {
 	// Open readies the backend: binds sockets, opens files. It must be
 	// called once before Recv or Send.

@@ -25,9 +25,9 @@ func FuzzPcap(f *testing.F) {
 		}
 	}
 	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:30])                  // truncated mid-record
-	f.Add([]byte("not a capture at all"))      // bad magic
-	f.Add(buildPcapng())                       // pcapng section
+	f.Add(valid.Bytes()[:30])             // truncated mid-record
+	f.Add([]byte("not a capture at all")) // bad magic
+	f.Add(buildPcapng())                  // pcapng section
 	le := binary.LittleEndian
 	overflow := make([]byte, 40)
 	le.PutUint32(overflow[0:4], magicMicros)

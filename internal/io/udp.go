@@ -3,14 +3,8 @@ package io
 import (
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 )
-
-// udpRingDepth is the receive ring between the socket pump goroutine
-// and the router's task loop. Frames arriving while the ring is full
-// are dropped and counted, like a NIC FIFO overflow.
-const udpRingDepth = 1024
 
 // UDP is a Backend that carries frames as UDP payloads: the device
 // binds a local socket, received datagrams become received frames, and
@@ -18,20 +12,19 @@ const udpRingDepth = 1024
 // separate processes (or one process, or a router and a test harness)
 // exchange real packets over localhost with no privileges.
 //
-// A pump goroutine blocks in ReadFromUDP and feeds a bounded ring the
-// non-blocking Recv drains, so the router's cooperative task loop
-// never blocks in a syscall.
+// Recv never blocks the router's task loop. On Linux the loop itself
+// polls the socket (udp_linux.go); elsewhere a goroutine reads it
+// (udp_other.go).
 type UDP struct {
 	localSpec string
 	peerSpec  string
 
 	conn *net.UDPConn
 	peer *net.UDPAddr
-	ring chan []byte
-	wg   sync.WaitGroup
+	udpRx
 
-	// RxDropped counts datagrams discarded because the receive ring
-	// was full; PeerLess counts frames sent with no peer configured.
+	// RxDropped counts datagrams lost unread (on Linux, the kernel's
+	// 32-bit count); PeerLess counts frames sent with no peer set.
 	RxDropped int64
 	PeerLess  int64
 }
@@ -40,10 +33,10 @@ type UDP struct {
 // an empty host binds loopback-reachable wildcard, port 0 picks a free
 // port) sending to peer (empty for a receive-only device).
 func NewUDP(local, peer string) *UDP {
-	return &UDP{localSpec: local, peerSpec: peer, ring: make(chan []byte, udpRingDepth)}
+	return &UDP{localSpec: local, peerSpec: peer}
 }
 
-// Open implements Backend: binds the socket and starts the pump.
+// Open implements Backend: binds the socket and readies receiving.
 func (u *UDP) Open() error {
 	laddr, err := net.ResolveUDPAddr("udp", u.localSpec)
 	if err != nil {
@@ -59,8 +52,10 @@ func (u *UDP) Open() error {
 	if err != nil {
 		return fmt.Errorf("udp backend: %w", err)
 	}
-	u.wg.Add(1)
-	go u.pump()
+	if err := u.openRx(); err != nil {
+		u.conn.Close()
+		return fmt.Errorf("udp backend: %w", err)
+	}
 	return nil
 }
 
@@ -80,39 +75,6 @@ func (u *UDP) SetPeer(peer string) error {
 	return nil
 }
 
-// pump blocks in the kernel receive path and fills the ring.
-func (u *UDP) pump() {
-	defer u.wg.Done()
-	for {
-		buf := make([]byte, DefaultSnapLen+1)
-		n, _, err := u.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // closed
-		}
-		select {
-		case u.ring <- buf[:n]:
-		default:
-			atomic.AddInt64(&u.RxDropped, 1)
-		}
-	}
-}
-
-// Recv implements Backend: drain up to len(buf) pending frames without
-// blocking.
-func (u *UDP) Recv(buf [][]byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		select {
-		case f := <-u.ring:
-			buf[n] = f
-			n++
-		default:
-			return n, nil
-		}
-	}
-	return n, nil
-}
-
 // Send implements Backend: each frame becomes one datagram to the
 // peer.
 func (u *UDP) Send(frames [][]byte) (int, error) {
@@ -128,12 +90,13 @@ func (u *UDP) Send(frames [][]byte) (int, error) {
 	return len(frames), nil
 }
 
-// Close implements Backend: closes the socket and reaps the pump.
+// Close implements Backend: closes the socket and releases the receive
+// path, invalidating the frames Recv returned.
 func (u *UDP) Close() error {
 	var err error
 	if u.conn != nil {
 		err = u.conn.Close()
-		u.wg.Wait()
+		u.closeRx()
 	}
 	return err
 }

@@ -44,21 +44,8 @@ func TestUDPBackendEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([][]byte, 4)
-	deadline := time.Now().Add(5 * time.Second)
-	var got []byte
-	for time.Now().Before(deadline) {
-		n, err := be.Recv(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n > 0 {
-			got = buf[0]
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("received %x, want %x", got, want)
+	if n := recvWithin(t, be, buf); n != 1 || !bytes.Equal(buf[0], want) {
+		t.Fatalf("received %d frames, first %x, want one, %x", n, buf[0], want)
 	}
 	// Backend → peer.
 	if _, err := be.Send([][]byte{{9, 8, 7}}); err != nil {
@@ -72,6 +59,94 @@ func TestUDPBackendEcho(t *testing.T) {
 	}
 	if !bytes.Equal(rbuf[:n], []byte{9, 8, 7}) {
 		t.Fatalf("peer received %x", rbuf[:n])
+	}
+}
+
+// recvWithin polls be until it delivers frames or five seconds pass.
+func recvWithin(t *testing.T, be *pktio.UDP, buf [][]byte) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n, err := be.Recv(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// openUDPPair opens a receive-only backend and a plain socket to send
+// to it, both closed when the test ends.
+func openUDPPair(t *testing.T) (*pktio.UDP, *net.UDPConn, *net.UDPAddr) {
+	t.Helper()
+	be := pktio.NewUDP("127.0.0.1:0", "")
+	if err := be.Open(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { be.Close() })
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	return be, peer, be.LocalAddr().(*net.UDPAddr)
+}
+
+// Every datagram size from one byte to the largest IPv4 UDP payload
+// comes back whole.
+func TestUDPFrameSizes(t *testing.T) {
+	be, peer, addr := openUDPPair(t)
+	buf := make([][]byte, 1)
+	for _, size := range []int{1, 64, 1514, 9018, 65507} {
+		want := make([]byte, size)
+		for i := range want {
+			want[i] = byte(i*7 + size)
+		}
+		if _, err := peer.WriteToUDP(want, addr); err != nil {
+			t.Fatalf("%d bytes: %v", size, err)
+		}
+		if n := recvWithin(t, be, buf); n != 1 || !bytes.Equal(buf[0], want) {
+			t.Errorf("%d bytes: received %d frames, first %d bytes", size, n, len(buf[0]))
+		}
+	}
+}
+
+// Forty frames read one at a time arrive in order, past the point where
+// the backend has handed out its first batch and reads the socket again.
+func TestUDPRecvInOrder(t *testing.T) {
+	be, peer, addr := openUDPPair(t)
+	const n = 40
+	for i := 0; i < n; i++ {
+		if _, err := peer.WriteToUDP([]byte{byte(i), 0xee}, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([][]byte, 4)
+	for i := 0; i < n; i++ {
+		if got := recvWithin(t, be, buf[:1]); got != 1 || !bytes.Equal(buf[0], []byte{byte(i), 0xee}) {
+			t.Fatalf("frame %d: received %d frames, first %x", i, got, buf[0])
+		}
+	}
+	if got, err := be.Recv(buf); got != 0 || err != nil {
+		t.Errorf("drained socket: Recv = %d, %v, want 0, nil", got, err)
+	}
+}
+
+// Recv on a socket with nothing pending returns at once, empty.
+func TestUDPRecvEmpty(t *testing.T) {
+	be, _, _ := openUDPPair(t)
+	buf := make([][]byte, 32)
+	start := time.Now()
+	for i := 0; i < 100; i++ {
+		if n, err := be.Recv(buf); n != 0 || err != nil {
+			t.Fatalf("Recv = %d, %v, want 0, nil", n, err)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("100 empty Recvs took %v", d)
 	}
 }
 
@@ -118,7 +193,7 @@ func newLoopbackRouter(t *testing.T) *loopbackRouter {
 }
 
 // run spins the task loop until stopped, sleeping briefly when idle so
-// the socket pump can make progress.
+// it does not spin on empty sockets.
 func (lr *loopbackRouter) run() {
 	lr.wg.Add(1)
 	go func() {

@@ -15,8 +15,8 @@ import (
 // to the garbage collector. Make and Kill take the mutex once each, and
 // Make's packet ID comes from the same critical section. The run loop's
 // goroutine does nearly all the getting and putting; the mutex is for
-// the backend pumps, drivers and tests that make or kill packets on
-// their own goroutines.
+// the drivers and tests that make or kill packets on their own
+// goroutines.
 //
 // Ownership: a *Packet is dead to its holder after Kill, or after being
 // handed downstream (pushed to an output, returned from a pull, enqueued

@@ -7,8 +7,7 @@
 # landing anywhere but a SyncDo quiescent point, which shows up as a
 # race between the caller's goroutine and the run loop on transplanted
 # or restructured state; read handlers sampling a running router's live
-# counters (Queue occupancy, drops, high water) with plain loads; the
-# UDP pump feeding the run loop from another goroutine; packet
+# counters (Queue occupancy, drops, high water) with plain loads; packet
 # refcounts and the recycling pool used from more than one goroutine;
 # and a packet touched after `Kill` (race builds retire killed headers,
 # and every packet method panics on one).
@@ -18,6 +17,11 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The UDP receive path is chosen by build tag (internal/io/udp_linux.go,
+# udp_other.go), so vet the portable one as well.
+GOOS=darwin go vet ./...
+GOOS=windows go vet ./...
+test -z "$(gofmt -l .)"
 go test ./...
 go test -race ./...
 sh scripts/loc.sh
