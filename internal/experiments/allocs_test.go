@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/elements"
 	"repro/internal/graph"
 	"repro/internal/iprouter"
+	"repro/internal/lang"
 	"repro/internal/opt"
 	"repro/internal/packet"
 )
@@ -77,5 +80,55 @@ func TestForwardingAllocatesNothing(t *testing.T) {
 				t.Errorf("%v allocations per %d-frame burst, want 0", allocs, burst)
 			}
 		})
+	}
+}
+
+// TestBringUpAllocationCeilings caps the allocations of parsing and of
+// building the committed eight-interface IP router. Construction runs
+// on every management-plane create and swap, so an allocation added
+// here shows up in ctl-churn's per-packet allocation count. The
+// ceilings are the counts measured at commit e5336a0 (go1.24), before
+// graph.Router gained its adjacency index, which construction must
+// never build.
+func TestBringUpAllocationCeilings(t *testing.T) {
+	if packet.RaceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const (
+		parseCeiling = 2690 // lang.ParseRouter(iprouter8.click)
+		buildCeiling = 3639 // core.Build of it, with Close
+	)
+	data, err := os.ReadFile("../../configs/iprouter8.click")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	parse := testing.AllocsPerRun(20, func() {
+		if _, err := lang.ParseRouter(text, "iprouter8"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	g, err := lang.ParseRouter(text, "iprouter8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := elements.NewRegistry()
+	env := map[string]interface{}{}
+	for _, itf := range iprouter.Interfaces(EvalInterfaces) {
+		env["device:"+itf.Device] = &memDevice{name: itf.Device}
+	}
+	build := testing.AllocsPerRun(20, func() {
+		rt, err := core.Build(g, reg, core.BuildOptions{Env: env})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Close()
+	})
+	t.Logf("parse %v, build %v allocations", parse, build)
+	if parse > parseCeiling {
+		t.Errorf("lang.ParseRouter(iprouter8): %v allocations, ceiling %d", parse, parseCeiling)
+	}
+	if build > buildCeiling {
+		t.Errorf("core.Build(iprouter8): %v allocations, ceiling %d", build, buildCeiling)
 	}
 }
