@@ -48,6 +48,74 @@ type Router struct {
 	AnonCounter int
 
 	byName map[string]int
+	// index is the per-element adjacency the port queries read, built
+	// on the first query; nil when absent. Single edits keep it
+	// current, bulk edits drop it.
+	index *adjacency
+}
+
+// adjacency lists each element's outgoing and incoming connections in
+// Conns order. A list is never written once a query has handed it out:
+// queries return capped slices, appends land beyond their capacity, and
+// removals build new lists. So a slice a pass holds across an edit is a
+// snapshot of the graph before the edit.
+type adjacency struct {
+	out, in [][]Connection
+}
+
+// adj returns the adjacency index, building it in O(E + C) if absent.
+func (r *Router) adj() *adjacency {
+	if r.index != nil {
+		return r.index
+	}
+	n := len(r.Elements)
+	nout, nin := make([]int, n), make([]int, n)
+	for _, c := range r.Conns {
+		nout[c.From]++
+		nin[c.To]++
+	}
+	a := &adjacency{out: make([][]Connection, n), in: make([][]Connection, n)}
+	buf := make([]Connection, 2*len(r.Conns))
+	for i := 0; i < n; i++ {
+		a.out[i], buf = buf[:0:nout[i]], buf[nout[i]:]
+		a.in[i], buf = buf[:0:nin[i]], buf[nin[i]:]
+	}
+	for _, c := range r.Conns {
+		a.out[c.From] = append(a.out[c.From], c)
+		a.in[c.To] = append(a.in[c.To], c)
+	}
+	r.index = a
+	return a
+}
+
+// dropConns returns list without the connections drop selects, in a
+// new slice if it selects any: a list is never written in place.
+func dropConns(list []Connection, drop func(Connection) bool) []Connection {
+	var kept []Connection
+	for k, c := range list {
+		if drop(c) {
+			if kept == nil {
+				kept = append(make([]Connection, 0, len(list)-1), list[:k]...)
+			}
+			continue
+		}
+		if kept != nil {
+			kept = append(kept, c)
+		}
+	}
+	if kept == nil {
+		return list
+	}
+	return kept
+}
+
+// capped returns s with its capacity cut to its length, or nil if it
+// is empty.
+func capped(s []Connection) []Connection {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
 }
 
 // New returns an empty router graph.
@@ -85,6 +153,10 @@ func (r *Router) AddElement(name, class, config, landmark string) (int, error) {
 	idx := len(r.Elements)
 	r.Elements = append(r.Elements, &Element{Name: name, Class: class, Config: config, Landmark: landmark})
 	r.byName[name] = idx
+	if a := r.index; a != nil {
+		a.out = append(a.out, nil)
+		a.in = append(a.in, nil)
+	}
 	return idx, nil
 }
 
@@ -108,23 +180,40 @@ func (r *Router) FindElement(name string) int {
 }
 
 // Connect adds a connection. Duplicate connections are ignored (Click
-// treats the connection set as a set).
+// treats the connection set as a set). Without an index it scans Conns
+// and builds none: parsing and splicing construct graphs this way.
 func (r *Router) Connect(from, fromPort, to, toPort int) {
-	for _, c := range r.Conns {
-		if c.From == from && c.FromPort == fromPort && c.To == to && c.ToPort == toPort {
+	c := Connection{From: from, FromPort: fromPort, To: to, ToPort: toPort}
+	existing := r.Conns
+	if r.index != nil {
+		existing = r.index.out[from]
+	}
+	for _, x := range existing {
+		if x == c {
 			return
 		}
 	}
-	r.Conns = append(r.Conns, Connection{From: from, FromPort: fromPort, To: to, ToPort: toPort})
+	r.Conns = append(r.Conns, c)
+	if a := r.index; a != nil {
+		a.out[from] = append(a.out[from], c)
+		a.in[to] = append(a.in[to], c)
+	}
 }
 
 // Disconnect removes the matching connection if present.
 func (r *Router) Disconnect(from, fromPort, to, toPort int) {
-	for i, c := range r.Conns {
-		if c.From == from && c.FromPort == fromPort && c.To == to && c.ToPort == toPort {
-			r.Conns = append(r.Conns[:i], r.Conns[i+1:]...)
-			return
+	c := Connection{From: from, FromPort: fromPort, To: to, ToPort: toPort}
+	for k, x := range r.Conns {
+		if x != c {
+			continue
 		}
+		r.Conns = append(r.Conns[:k], r.Conns[k+1:]...)
+		if a := r.index; a != nil {
+			is := func(x Connection) bool { return x == c }
+			a.out[from] = dropConns(a.out[from], is)
+			a.in[to] = dropConns(a.in[to], is)
+		}
+		return
 	}
 }
 
@@ -143,6 +232,17 @@ func (r *Router) RemoveElement(i int) {
 		}
 	}
 	r.Conns = kept
+	if a := r.index; a != nil {
+		touches := func(c Connection) bool { return c.From == i || c.To == i }
+		outs, ins := a.out[i], a.in[i] // a self-loop edits both below
+		for _, c := range outs {
+			a.in[c.To] = dropConns(a.in[c.To], touches)
+		}
+		for _, c := range ins {
+			a.out[c.From] = dropConns(a.out[c.From], touches)
+		}
+		a.out[i], a.in[i] = nil, nil
+	}
 }
 
 // RemoveElements marks every listed element dead in one pass: names are
@@ -164,6 +264,7 @@ func (r *Router) RemoveElements(idx []int) {
 	if len(dead) == 0 {
 		return
 	}
+	r.index = nil
 	kept := r.Conns[:0]
 	for _, c := range r.Conns {
 		if !dead[c.From] && !dead[c.To] {
@@ -200,6 +301,7 @@ func (r *Router) AppendFrom(sub *Router) ([]int, error) {
 		r.Elements = append(r.Elements, &cp)
 		r.byName[cp.Name] = remap[i]
 	}
+	r.index = nil
 	for _, c := range sub.Conns {
 		if remap[c.From] < 0 || remap[c.To] < 0 {
 			continue
@@ -215,23 +317,21 @@ func (r *Router) AppendFrom(sub *Router) ([]int, error) {
 // RemoveAndSplice removes element i, splicing each input connection on
 // port p to every output connection on port p. It is the edit used when
 // deleting a pass-through element (Null, redundant Align): packets that
-// would have entered input p leave via output p's targets.
+// would have entered input p leave via output p's targets. New
+// connections are made in ascending port order, then in Conns order.
+// A self-loop on element i is dropped with it, not spliced.
 func (r *Router) RemoveAndSplice(i int) {
-	ins := map[int][]Connection{}
-	outs := map[int][]Connection{}
-	for _, c := range r.Conns {
-		if c.To == i {
-			ins[c.ToPort] = append(ins[c.ToPort], c)
-		}
-		if c.From == i {
-			outs[c.FromPort] = append(outs[c.FromPort], c)
-		}
-	}
+	nin, ins, outs := r.NInputs(i), r.ConnsTo(i), r.ConnsFrom(i)
 	r.RemoveElement(i)
-	for port, inConns := range ins {
-		for _, ic := range inConns {
-			for _, oc := range outs[port] {
-				r.Connect(ic.From, ic.FromPort, oc.To, oc.ToPort)
+	for p := 0; p < nin; p++ {
+		for _, ic := range ins {
+			if ic.ToPort != p || ic.From == i {
+				continue
+			}
+			for _, oc := range outs {
+				if oc.FromPort == p && oc.To != i {
+					r.Connect(ic.From, ic.FromPort, oc.To, oc.ToPort)
+				}
 			}
 		}
 	}
@@ -260,61 +360,59 @@ func (r *Router) Compact() []int {
 		r.Conns[i].From = remap[r.Conns[i].From]
 		r.Conns[i].To = remap[r.Conns[i].To]
 	}
+	r.index = nil
 	return remap
 }
 
 // OutputConns returns the connections leaving element i's port p.
 func (r *Router) OutputConns(i, port int) []Connection {
-	var out []Connection
-	for _, c := range r.Conns {
-		if c.From == i && c.FromPort == port {
-			out = append(out, c)
-		}
-	}
-	return out
+	return onPort(r.adj().out[i], port, func(c Connection) int { return c.FromPort })
 }
 
 // InputConns returns the connections entering element i's port p.
 func (r *Router) InputConns(i, port int) []Connection {
-	var in []Connection
-	for _, c := range r.Conns {
-		if c.To == i && c.ToPort == port {
-			in = append(in, c)
-		}
-	}
-	return in
+	return onPort(r.adj().in[i], port, func(c Connection) int { return c.ToPort })
 }
 
-// ConnsFrom returns all connections leaving element i.
-func (r *Router) ConnsFrom(i int) []Connection {
-	var out []Connection
-	for _, c := range r.Conns {
-		if c.From == i {
+// onPort returns the connections in list whose port is p, in list
+// order: a capped subslice when they are adjacent, else a copy.
+func onPort(list []Connection, p int, portOf func(Connection) int) []Connection {
+	lo := 0
+	for lo < len(list) && portOf(list[lo]) != p {
+		lo++
+	}
+	hi := lo
+	for hi < len(list) && portOf(list[hi]) == p {
+		hi++
+	}
+	rest := hi
+	for rest < len(list) && portOf(list[rest]) != p {
+		rest++
+	}
+	if rest == len(list) {
+		return capped(list[lo:hi])
+	}
+	out := append([]Connection(nil), list[lo:hi]...)
+	for _, c := range list[rest:] {
+		if portOf(c) == p {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
+// ConnsFrom returns all connections leaving element i.
+func (r *Router) ConnsFrom(i int) []Connection { return capped(r.adj().out[i]) }
+
 // ConnsTo returns all connections entering element i.
-func (r *Router) ConnsTo(i int) []Connection {
-	var in []Connection
-	for _, c := range r.Conns {
-		if c.To == i {
-			in = append(in, c)
-		}
-	}
-	return in
-}
+func (r *Router) ConnsTo(i int) []Connection { return capped(r.adj().in[i]) }
 
 // NInputs returns the number of input ports element i uses (max port
 // number + 1 over all incoming connections).
 func (r *Router) NInputs(i int) int {
 	n := 0
-	for _, c := range r.Conns {
-		if c.To == i && c.ToPort+1 > n {
-			n = c.ToPort + 1
-		}
+	for _, c := range r.adj().in[i] {
+		n = max(n, c.ToPort+1)
 	}
 	return n
 }
@@ -322,10 +420,8 @@ func (r *Router) NInputs(i int) int {
 // NOutputs returns the number of output ports element i uses.
 func (r *Router) NOutputs(i int) int {
 	n := 0
-	for _, c := range r.Conns {
-		if c.From == i && c.FromPort+1 > n {
-			n = c.FromPort + 1
-		}
+	for _, c := range r.adj().out[i] {
+		n = max(n, c.FromPort+1)
 	}
 	return n
 }
@@ -344,6 +440,7 @@ func (r *Router) LiveIndices() []int {
 // SortConns orders the connection list (by from-element, from-port,
 // to-element, to-port), for deterministic output.
 func (r *Router) SortConns() {
+	r.index = nil
 	sort.Slice(r.Conns, func(a, b int) bool {
 		x, y := r.Conns[a], r.Conns[b]
 		if x.From != y.From {

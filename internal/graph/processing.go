@@ -136,13 +136,6 @@ func (pr *Processing) InputKind(e, p int) PortKind { return pr.In[e][p] }
 // OutputKind returns the resolved kind of element e's output port p.
 func (pr *Processing) OutputKind(e, p int) PortKind { return pr.Out[e][p] }
 
-// portRef identifies one port in the union-find used by AssignProcessing.
-type portRef struct {
-	elem   int
-	output bool
-	port   int
-}
-
 // AssignProcessing resolves every port of every live element to push or
 // pull. Agnostic ports within a single element are tied together
 // (packets flow through agnostic elements without changing discipline),
@@ -151,12 +144,12 @@ type portRef struct {
 func AssignProcessing(r *Router, specs SpecSource) (*Processing, error) {
 	n := len(r.Elements)
 	pr := &Processing{In: make([][]PortKind, n), Out: make([][]PortKind, n)}
-	codes := make([]ProcCode, n)
 
-	// Assign union-find ids to every port.
-	ids := map[portRef]int{}
-	parent := []int{}
-	value := []PortKind{} // resolved kind of each set root
+	// Union-find over dense port ids: element i's input p is
+	// inBase[i]+p and its output p is outBase[i]+p.
+	inBase, outBase := make([]int, n), make([]int, n)
+	var parent []int
+	var value []PortKind // resolved kind of each set root
 	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
@@ -164,31 +157,23 @@ func AssignProcessing(r *Router, specs SpecSource) (*Processing, error) {
 		}
 		return x
 	}
-	makeSet := func(k PortKind) int {
-		id := len(parent)
-		parent = append(parent, id)
-		value = append(value, k)
-		return id
-	}
-	var conflict error
-	union := func(a, b int, where string) {
+	// union merges two sets, reporting false if their kinds conflict.
+	union := func(a, b int) bool {
 		ra, rb := find(a), find(b)
 		if ra == rb {
-			return
+			return true
 		}
 		va, vb := value[ra], value[rb]
 		if va != Agnostic && vb != Agnostic && va != vb {
-			if conflict == nil {
-				conflict = fmt.Errorf("graph: push/pull conflict at %s", where)
-			}
-			return
+			return false
 		}
 		if va == Agnostic {
 			value[ra] = vb
 		}
 		parent[rb] = ra
+		return true
 	}
-
+	var conflict error
 	for i, e := range r.Elements {
 		if e.dead {
 			continue
@@ -201,50 +186,45 @@ func AssignProcessing(r *Router, specs SpecSource) (*Processing, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: element %q: %v", e.Name, err)
 		}
-		codes[i] = pc
 		nin, nout := r.NInputs(i), r.NOutputs(i)
 		pr.In[i] = make([]PortKind, nin)
 		pr.Out[i] = make([]PortKind, nout)
-		var agnosticSet = -1
-		for p := 0; p < nin; p++ {
-			k := pc.Input(p)
-			id := makeSet(k)
-			ids[portRef{i, false, p}] = id
-			if k == Agnostic {
-				if agnosticSet < 0 {
-					agnosticSet = id
-				} else {
-					union(agnosticSet, id, e.Name)
-				}
+		inBase[i] = len(parent)
+		outBase[i] = inBase[i] + nin
+		agnosticSet := -1
+		for p := 0; p < nin+nout; p++ {
+			var k PortKind
+			if p < nin {
+				k = pc.Input(p)
+			} else {
+				k = pc.Output(p - nin)
 			}
-		}
-		for p := 0; p < nout; p++ {
-			k := pc.Output(p)
-			id := makeSet(k)
-			ids[portRef{i, true, p}] = id
-			if k == Agnostic {
-				if agnosticSet < 0 {
-					agnosticSet = id
-				} else {
-					union(agnosticSet, id, e.Name)
-				}
+			id := len(parent)
+			parent = append(parent, id)
+			value = append(value, k)
+			if k != Agnostic {
+				continue
+			}
+			if agnosticSet < 0 {
+				agnosticSet = id
+			} else if !union(agnosticSet, id) && conflict == nil {
+				conflict = fmt.Errorf("graph: push/pull conflict at %s", e.Name)
 			}
 		}
 	}
 
 	for _, c := range r.Conns {
-		a := ids[portRef{c.From, true, c.FromPort}]
-		b := ids[portRef{c.To, false, c.ToPort}]
-		where := fmt.Sprintf("%s[%d] -> [%d]%s",
-			r.Elements[c.From].Name, c.FromPort, c.ToPort, r.Elements[c.To].Name)
-		union(a, b, where)
+		if !union(outBase[c.From]+c.FromPort, inBase[c.To]+c.ToPort) && conflict == nil {
+			conflict = fmt.Errorf("graph: push/pull conflict at %s[%d] -> [%d]%s",
+				r.Elements[c.From].Name, c.FromPort, c.ToPort, r.Elements[c.To].Name)
+		}
 	}
 	if conflict != nil {
 		return nil, conflict
 	}
 
-	resolve := func(ref portRef) PortKind {
-		k := value[find(ids[ref])]
+	resolve := func(id int) PortKind {
+		k := value[find(id)]
 		if k == Agnostic {
 			return Push // unconstrained agnostic ports default to push
 		}
@@ -255,10 +235,10 @@ func AssignProcessing(r *Router, specs SpecSource) (*Processing, error) {
 			continue
 		}
 		for p := range pr.In[i] {
-			pr.In[i][p] = resolve(portRef{i, false, p})
+			pr.In[i][p] = resolve(inBase[i] + p)
 		}
 		for p := range pr.Out[i] {
-			pr.Out[i][p] = resolve(portRef{i, true, p})
+			pr.Out[i][p] = resolve(outBase[i] + p)
 		}
 	}
 	return pr, nil

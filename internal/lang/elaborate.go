@@ -14,7 +14,7 @@ const (
 )
 
 // Element classes used for materialized pseudoelements in pattern
-// graphs (see ElaborateClassBody).
+// graphs (see ElaborateClassDef).
 const (
 	InputPseudoClass  = "<input>"
 	OutputPseudoClass = "<output>"
@@ -362,30 +362,16 @@ func (e *elaborator) pseudoElement(name string, line int) (int, error) {
 	return e.pseudoOut, nil
 }
 
-// ElaborateClassBody elaborates the body of the named compound element
-// class from src into a standalone graph in which the compound's
+// ElaborateClassDef elaborates the body of a compound element class
+// parsed from file into a standalone graph in which the compound's
 // input/output ports appear as real elements named "input" and "output"
 // with classes InputPseudoClass and OutputPseudoClass. click-xform uses
 // this to turn pattern and replacement definitions into matchable
 // graphs. Unknown $parameters in configuration strings are left intact
 // (they are click-xform's wildcards).
-func ElaborateClassBody(src, className, file string) (*graph.Router, error) {
-	f, err := Parse(src, file)
-	if err != nil {
-		return nil, err
-	}
-	var def *ClassDefStmt
-	for _, st := range f.Stmts {
-		if cd, ok := st.(*ClassDefStmt); ok && cd.Name == className {
-			def = cd
-			break
-		}
-	}
-	if def == nil {
-		return nil, fmt.Errorf("%s: no elementclass %q", file, className)
-	}
+func ElaborateClassDef(def *ClassDefStmt, file string) (*graph.Router, error) {
 	if len(def.Formals) > 0 {
-		return nil, fmt.Errorf("%s: pattern class %q must not declare formals (use $wildcards in configs directly)", file, className)
+		return nil, fmt.Errorf("%s: pattern class %q must not declare formals (use $wildcards in configs directly)", file, def.Name)
 	}
 	e := &elaborator{r: graph.New(), file: file, materialize: true, pseudoIn: -1, pseudoOut: -1}
 	root := &classScope{classes: map[string]*ClassDefStmt{}}

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -41,27 +42,27 @@ func ParsePatterns(src, file string) ([]*PatternPair, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := map[string]bool{}
+	defs := map[string]*lang.ClassDefStmt{}
 	var order []string
 	for _, st := range f.Stmts {
 		if cd, ok := st.(*lang.ClassDefStmt); ok {
-			names[cd.Name] = true
+			if defs[cd.Name] == nil {
+				defs[cd.Name] = cd // a redefinition does not replace the first
+			}
 			order = append(order, cd.Name)
 		}
 	}
 	var pairs []*PatternPair
 	for _, n := range order {
-		if strings.HasSuffix(n, "_Replacement") {
+		repDef := defs[n+"_Replacement"]
+		if strings.HasSuffix(n, "_Replacement") || repDef == nil {
 			continue
 		}
-		if !names[n+"_Replacement"] {
-			continue
-		}
-		pat, err := lang.ElaborateClassBody(src, n, file)
+		pat, err := lang.ElaborateClassDef(defs[n], file)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := lang.ElaborateClassBody(src, n+"_Replacement", file)
+		rep, err := lang.ElaborateClassDef(repDef, file)
 		if err != nil {
 			return nil, err
 		}
@@ -93,34 +94,56 @@ func validatePattern(pat *graph.Router, name string) error {
 	return nil
 }
 
-// bindings maps wildcard names ("$x") to matched argument text.
-type bindings map[string]string
+// bindings lists wildcard names ("$x") with the argument text each
+// matched.
+type bindings []binding
 
-// matchConfig matches a pattern element's configuration against a graph
-// element's, binding wildcards. Arguments must agree in count; a
-// pattern argument "$name" binds (consistently across the whole match),
-// anything else must match exactly after whitespace trimming.
-func matchConfig(patCfg, gotCfg string, b bindings) (bindings, bool) {
-	pargs := lang.SplitConfig(patCfg)
-	gargs := lang.SplitConfig(gotCfg)
+type binding struct{ name, text string }
+
+func (b bindings) lookup(name string) (string, bool) {
+	for _, x := range b {
+		if x.name == name {
+			return x.text, true
+		}
+	}
+	return "", false
+}
+
+// configArgs memoizes elements' configurations split into trimmed
+// arguments: one Xform run matches the same elements many times over,
+// and no element's configuration changes during it.
+type configArgs map[*graph.Element][]string
+
+func (ca configArgs) of(e *graph.Element) []string {
+	args, ok := ca[e]
+	if !ok {
+		args = lang.SplitConfig(e.Config)
+		for i, a := range args {
+			args[i] = strings.TrimSpace(a)
+		}
+		ca[e] = args
+	}
+	return args
+}
+
+// matchConfig matches a pattern element's configuration arguments
+// against a graph element's, binding wildcards. Arguments must agree in
+// count; a pattern argument "$name" binds (consistently across the
+// whole match), anything else must match exactly after whitespace
+// trimming. New bindings are appended to b, in its spare capacity if it
+// has any, so the backtracking search uses b as a stack.
+func matchConfig(pargs, gargs []string, b bindings) (bindings, bool) {
 	if len(pargs) != len(gargs) {
 		return nil, false
 	}
-	for i := range pargs {
-		pa, ga := strings.TrimSpace(pargs[i]), strings.TrimSpace(gargs[i])
+	for i, pa := range pargs {
+		ga := gargs[i]
 		if strings.HasPrefix(pa, "$") && !strings.ContainsAny(pa, " \t") {
-			if prev, ok := b[pa]; ok {
-				if prev != ga {
-					return nil, false
-				}
-				continue
+			if prev, ok := b.lookup(pa); !ok {
+				b = append(b, binding{pa, ga})
+			} else if prev != ga {
+				return nil, false
 			}
-			nb := bindings{}
-			for k, v := range b {
-				nb[k] = v
-			}
-			nb[pa] = ga
-			b = nb
 			continue
 		}
 		if pa != ga {
@@ -135,7 +158,7 @@ func substBindings(cfg string, b bindings) string {
 	args := lang.SplitConfig(cfg)
 	for i, a := range args {
 		a = strings.TrimSpace(a)
-		if v, ok := b[a]; ok {
+		if v, ok := b.lookup(a); ok {
 			args[i] = v
 		}
 	}
@@ -151,10 +174,33 @@ type match struct {
 	b bindings
 }
 
+// xformRun is what one Xform run keeps between matches.
+type xformRun struct {
+	g *graph.Router
+	// tabu holds (pair, element name): elements created by a
+	// replacement are never re-matched by the same pair, to guarantee
+	// termination.
+	tabu map[[2]string]bool
+	args configArgs
+	// byClass lists element indices by class in ascending order, dead
+	// ones included; its first indexed elements of g are in it.
+	byClass map[string][]int
+	indexed int
+}
+
+// ofClass returns the indices of g's elements of the class, in order.
+func (x *xformRun) ofClass(class string) []int {
+	for ; x.indexed < len(x.g.Elements); x.indexed++ {
+		c := x.g.Elements[x.indexed].Class
+		x.byClass[c] = append(x.byClass[c], x.indexed)
+	}
+	return x.byClass[class]
+}
+
 // findMatch searches g for an occurrence of the pattern, excluding
-// graph elements in the tabu set (elements created by replacements are
-// never re-matched by the same pair to guarantee termination).
-func findMatch(g *graph.Router, pair *PatternPair, tabu map[string]bool) *match {
+// tabu elements.
+func (x *xformRun) findMatch(pair *PatternPair) *match {
+	g, args := x.g, x.args
 	pat := pair.Pattern
 	var pelems []int
 	for _, i := range pat.LiveIndices() {
@@ -165,14 +211,15 @@ func findMatch(g *graph.Router, pair *PatternPair, tabu map[string]bool) *match 
 
 	// Ullman candidate sets: class equality and config compatibility.
 	cands := make([][]int, len(pelems))
+	scratch := make(bindings, 0, 8)
 	for pi, p := range pelems {
 		pe := pat.Element(p)
-		for _, gidx := range g.LiveIndices() {
+		for _, gidx := range x.ofClass(pe.Class) {
 			ge := g.Element(gidx)
-			if ge.Class != pe.Class || tabu[pair.Name+"\x00"+ge.Name] {
+			if g.Dead(gidx) || x.tabu[[2]string{pair.Name, ge.Name}] {
 				continue
 			}
-			if _, ok := matchConfig(pe.Config, ge.Config, bindings{}); !ok {
+			if _, ok := matchConfig(args.of(pe), args.of(ge), scratch[:0]); !ok {
 				continue
 			}
 			cands[pi] = append(cands[pi], gidx)
@@ -185,14 +232,20 @@ func findMatch(g *graph.Router, pair *PatternPair, tabu map[string]bool) *match 
 	// Ullman refinement: a candidate g for pattern element p must have,
 	// for every pattern edge p->p' (or p'<-p), a graph edge to some
 	// candidate of p'. Iterate to fixpoint.
-	patIdx := map[int]int{}
+	patIdx := make([]int, len(pat.Elements)) // pattern elem -> index in pelems, -1 for pseudo
+	for i := range patIdx {
+		patIdx[i] = -1
+	}
 	for pi, p := range pelems {
 		patIdx[p] = pi
 	}
-	inCand := make([]map[int]bool, len(pelems))
+	inCand := make([][]bool, len(pelems))
 	rebuild := func() {
 		for pi := range cands {
-			inCand[pi] = map[int]bool{}
+			if inCand[pi] == nil {
+				inCand[pi] = make([]bool, len(g.Elements))
+			}
+			clear(inCand[pi])
 			for _, c := range cands[pi] {
 				inCand[pi][c] = true
 			}
@@ -206,8 +259,8 @@ func findMatch(g *graph.Router, pair *PatternPair, tabu map[string]bool) *match 
 		cand:
 			for _, gc := range cands[pi] {
 				for _, pc := range pat.ConnsFrom(p) {
-					ti, ok := patIdx[pc.To]
-					if !ok {
+					ti := patIdx[pc.To]
+					if ti < 0 {
 						continue // edge to pseudo
 					}
 					found := false
@@ -222,8 +275,8 @@ func findMatch(g *graph.Router, pair *PatternPair, tabu map[string]bool) *match 
 					}
 				}
 				for _, pc := range pat.ConnsTo(p) {
-					fi, ok := patIdx[pc.From]
-					if !ok {
+					fi := patIdx[pc.From]
+					if fi < 0 {
 						continue
 					}
 					found := false
@@ -253,15 +306,12 @@ func findMatch(g *graph.Router, pair *PatternPair, tabu map[string]bool) *match 
 	}
 
 	// Backtracking search over refined candidates.
-	assign := map[int]int{} // pattern elem -> graph elem
-	used := map[int]bool{}  // graph elems already assigned
+	assign := make([]int, len(pat.Elements)) // pattern elem -> graph elem
+	used := make([]bool, len(g.Elements))    // graph elems already assigned
 	var try func(k int, b bindings) *match
 	try = func(k int, b bindings) *match {
 		if k == len(pelems) {
-			if mm := verifyMatch(g, pair, pelems, assign, b); mm != nil {
-				return mm
-			}
-			return nil
+			return verifyMatch(g, pair, pelems, assign, used, b)
 		}
 		p := pelems[k]
 		pe := pat.Element(p)
@@ -269,7 +319,7 @@ func findMatch(g *graph.Router, pair *PatternPair, tabu map[string]bool) *match 
 			if used[gc] {
 				continue
 			}
-			nb, ok := matchConfig(pe.Config, g.Element(gc).Config, b)
+			nb, ok := matchConfig(args.of(pe), args.of(g.Element(gc)), b)
 			if !ok {
 				continue
 			}
@@ -278,25 +328,21 @@ func findMatch(g *graph.Router, pair *PatternPair, tabu map[string]bool) *match 
 			if mm := try(k+1, nb); mm != nil {
 				return mm
 			}
-			delete(assign, p)
-			delete(used, gc)
+			used[gc] = false
 		}
 		return nil
 	}
-	return try(0, bindings{})
+	return try(0, scratch[:0])
 }
 
 // verifyMatch checks the full structural conditions for an assignment:
 // every pattern-internal connection exists in the graph, and every
 // graph connection incident to a matched element is licensed — either
 // it corresponds to a pattern-internal connection, or the pattern
-// routes that port to an input/output pseudoelement.
-func verifyMatch(g *graph.Router, pair *PatternPair, pelems []int, assign map[int]int, b bindings) *match {
+// routes that port to an input/output pseudoelement. inSet marks the
+// matched graph elements.
+func verifyMatch(g *graph.Router, pair *PatternPair, pelems, assign []int, inSet []bool, b bindings) *match {
 	pat := pair.Pattern
-	inSet := map[int]bool{}
-	for _, p := range pelems {
-		inSet[assign[p]] = true
-	}
 
 	// Pattern-internal edges must exist (refinement checked per-edge
 	// reachability into candidate sets, not the final assignment).
@@ -316,42 +362,34 @@ func verifyMatch(g *graph.Router, pair *PatternPair, pelems []int, assign map[in
 		default:
 			gc := graph.Connection{From: assign[pc.From], FromPort: pc.FromPort, To: assign[pc.To], ToPort: pc.ToPort}
 			patConnSet[gc] = true
-			found := false
-			for _, c := range g.Conns {
-				if c == gc {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(g.OutputConns(gc.From, gc.FromPort), gc) {
 				return nil
 			}
 		}
 	}
 
-	// License check for all graph connections touching the set.
-	for _, c := range g.Conns {
-		fromIn, toIn := inSet[c.From], inSet[c.To]
-		if !fromIn && !toIn {
-			continue
-		}
-		if fromIn && toIn {
-			if patConnSet[c] {
+	// License check for all graph connections touching the set: those
+	// leaving a matched element, and those entering one from outside.
+	for _, p := range pelems {
+		for _, c := range g.ConnsFrom(assign[p]) {
+			out := borderOut[[2]int{c.From, c.FromPort}]
+			if !inSet[c.To] {
+				if !out {
+					return nil
+				}
 				continue
 			}
 			// An internal connection the pattern doesn't mention is
 			// allowed only if the pattern exposes both endpoints as
 			// border ports (it then survives as an external path).
-			if borderOut[[2]int{c.From, c.FromPort}] && borderIn[[2]int{c.To, c.ToPort}] {
-				continue
+			if !patConnSet[c] && !(out && borderIn[[2]int{c.To, c.ToPort}]) {
+				return nil
 			}
-			return nil
 		}
-		if fromIn && !borderOut[[2]int{c.From, c.FromPort}] {
-			return nil
-		}
-		if toIn && !borderIn[[2]int{c.To, c.ToPort}] {
-			return nil
+		for _, c := range g.ConnsTo(assign[p]) {
+			if !inSet[c.From] && !borderIn[[2]int{c.To, c.ToPort}] {
+				return nil
+			}
 		}
 	}
 	m := &match{pair: pair, m: map[int]int{}, b: b}
@@ -388,7 +426,7 @@ func applyMatch(g *graph.Router, mm *match) []string {
 		}
 	}
 
-	inSet := map[int]bool{}
+	inSet := make([]bool, len(g.Elements))
 	for _, gi := range mm.m {
 		inSet[gi] = true
 	}
@@ -422,7 +460,7 @@ func applyMatch(g *graph.Router, mm *match) []string {
 	}
 
 	// Remove the matched elements first so inherited names are free.
-	for gi := range inSet {
+	for _, gi := range mm.m {
 		g.RemoveElement(gi)
 	}
 
@@ -487,12 +525,12 @@ func applyMatch(g *graph.Router, mm *match) []string {
 func Xform(g *graph.Router, pairs []*PatternPair) int {
 	applied := 0
 	patternCounts := map[string]int{}
-	tabu := map[string]bool{}
+	x := &xformRun{g: g, tabu: map[[2]string]bool{}, args: configArgs{}, byClass: map[string][]int{}}
 	const maxApplications = 10000
 	for applied < maxApplications {
 		var mm *match
 		for _, pair := range pairs {
-			if mm = findMatch(g, pair, tabu); mm != nil {
+			if mm = x.findMatch(pair); mm != nil {
 				break
 			}
 		}
@@ -500,7 +538,7 @@ func Xform(g *graph.Router, pairs []*PatternPair) int {
 			break
 		}
 		for _, name := range applyMatch(g, mm) {
-			tabu[mm.pair.Name+"\x00"+name] = true
+			x.tabu[[2]string{mm.pair.Name, name}] = true
 		}
 		patternCounts[mm.pair.Name]++
 		applied++
