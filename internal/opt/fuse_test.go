@@ -389,3 +389,59 @@ func fusePropertyTrace(r *rand.Rand, ifs []iprouter.Interface, n int) []*packet.
 	}
 	return ps
 }
+
+// fuseRunsConfig is one independent firewall → IPClassifier →
+// StaticSwitch chain per entry of ports, chain i switching to port
+// ports[i]. Both switch ports lead to the chain's own queue, so chains
+// with different ports differ only in the switch's constant.
+func fuseRunsConfig(ports ...int) string {
+	var b strings.Builder
+	for i, port := range ports {
+		fmt.Fprintf(&b, "pd%d :: PollDevice(in%d) -> flt%d :: IPFilter(%s) -> fc%d :: IPClassifier(udp, tcp, -);\n",
+			i, i, i, iprouter.FirewallConfigArg(), i)
+		fmt.Fprintf(&b, "fc%d [0] -> sw%d :: StaticSwitch(%d) -> q%d :: Queue -> td%d :: ToDevice(out%d);\n",
+			i, i, port, i, i, i)
+		fmt.Fprintf(&b, "sw%d [1] -> q%d;\nfc%d [1] -> q%d;\nfc%d [2] -> Discard;\n", i, i, i, i, i)
+	}
+	return b.String()
+}
+
+// TestFuseSharesOnlyIdenticalRuns: runs that differ only in a switch
+// port get two generated classes, identical runs one, and the report's
+// node counts are the sums over fusing each run on its own.
+func TestFuseSharesOnlyIdenticalRuns(t *testing.T) {
+	fuse := func(ports ...int) (*graph.Router, *PassReport) {
+		t.Helper()
+		g, err := lang.ParseRouter(fuseRunsConfig(ports...), "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Fuse(g, elements.NewRegistry()); err != nil {
+			t.Fatal(err)
+		}
+		return g, fuseReport(t, g)
+	}
+	ports := []int{0, 1, 0}
+	g, rep := fuse(ports...)
+	class := func(name string) string { return g.Element(g.FindElement(name)).Class }
+	if class("flt0") != class("flt2") {
+		t.Errorf("identical runs got classes %s and %s", class("flt0"), class("flt2"))
+	}
+	if class("flt0") == class("flt1") {
+		t.Errorf("runs switching to different ports share class %s", class("flt0"))
+	}
+	if rep.ClassesGenerated != 2 || len(rep.Classes) != 2 || rep.RunsFused != 3 || rep.ElementsFused != 9 {
+		t.Errorf("report: %d classes generated, %d named, %d runs, %d elements; want 2, 2, 3, 9",
+			rep.ClassesGenerated, len(rep.Classes), rep.RunsFused, rep.ElementsFused)
+	}
+	var tree, diagram int
+	for _, p := range ports {
+		_, alone := fuse(p)
+		tree += alone.TreeNodes
+		diagram += alone.DiagramNodes
+	}
+	if rep.TreeNodes != tree || rep.DiagramNodes != diagram {
+		t.Errorf("report counts %d tree / %d diagram nodes, runs fused alone sum to %d / %d",
+			rep.TreeNodes, rep.DiagramNodes, tree, diagram)
+	}
+}

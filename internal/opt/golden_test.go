@@ -49,6 +49,46 @@ func firewalledIPRouter8(text string) string {
 	return text
 }
 
+// alternatingFirewalledIPRouter8 is firewalledIPRouter8 with runs that
+// differ from their neighbours: odd interfaces switch to port 1 (both
+// switch ports lead to rt), and interfaces 2, 3, 6 and 7 run the
+// firewall with rule 11 turned into an allow. The four distinct runs
+// alternate, so a pass that reused one run's composition for another
+// would show here.
+func alternatingFirewalledIPRouter8(text string) string {
+	changed := iprouter.FirewallRules()
+	changed[10] = "allow udp && dst port 69"
+	for i := 0; i < 8; i++ {
+		rules := iprouter.FirewallConfigArg()
+		if i&2 != 0 {
+			rules = strings.Join(changed, ", ")
+		}
+		inject := fmt.Sprintf(
+			"GetIPAddress(16) -> flt%d :: IPFilter(%s);\n"+
+				"flt%d [0] -> fc%d :: IPClassifier(udp, tcp, -);\n"+
+				"fc%d [0] -> sw%d :: StaticSwitch(%d) -> rt;\nsw%d [1] -> rt;\nfc%d [1] -> rt;\nfc%d [2] -> rt;\n",
+			i, rules, i, i, i, i, i&1, i, i, i)
+		text = strings.Replace(text, "GetIPAddress(16) -> rt;\n", inject, 1)
+	}
+	return text
+}
+
+// ctlTenantConfig is one tenant of the ctl-churn benchmark workload:
+// the §4 firewall with rule 11 turned into an allow for UDP port 2000,
+// then an IPClassifier, a queue and a transmitter.
+const ctlTenantConfig = `pd :: PollDevice(eth0) -> flt :: IPFilter(deny src net 10.0.0.0/8 && ip frag, ` +
+	`deny src host 192.168.1.1, allow src net 172.16.0.0/12 && tcp && dst port 25, ` +
+	`allow dst host 10.0.0.2 && tcp && dst port 25, deny tcp && dst port 23, deny tcp && dst port 513, ` +
+	`deny tcp && dst port 514, allow src host 10.0.0.2 && tcp && src port 25, ` +
+	`allow tcp && dst port 80 && dst host 10.0.0.3, allow tcp && src port 80 && src host 10.0.0.3, ` +
+	`allow udp && dst port 2000, deny udp && dst port 161, allow icmp type echo, allow icmp type echo-reply, ` +
+	`allow dst host 10.0.0.2 && tcp && dst port 53, allow dst host 10.0.0.2 && udp && dst port 53, deny all) ` +
+	`-> fc :: IPClassifier(udp, tcp, -);
+fc [0] -> q :: Queue(64) -> td :: ToDevice(eth1);
+fc [1] -> q;
+fc [2] -> ds :: Discard;
+`
+
 // goldenPassOutputs runs every golden case and returns "name digest"
 // lines in a fixed order.
 func goldenPassOutputs(t *testing.T) []string {
@@ -96,6 +136,8 @@ func goldenPassOutputs(t *testing.T) []string {
 	mixed := append([]pass{{"fuse", Fuse}}, chain...)
 	mixed = append(mixed, pass{"flowcache", InstallFlowCache})
 	lines = append(lines, run("iprouter8-firewalled+fuse+all+flowcache", firewalledIPRouter8(string(conf)), mixed))
+	lines = append(lines, run("iprouter8-alternating+fuse+all+flowcache", alternatingFirewalledIPRouter8(string(conf)), mixed))
+	lines = append(lines, run("ctl-tenant+fuse", ctlTenantConfig, []pass{{"fuse", Fuse}}))
 	for seed := int64(0); seed < 50; seed++ {
 		text, _ := randomPushConfig(seed)
 		lines = append(lines, run(fmt.Sprintf("random%d+all", seed), text, []pass{{"all", applyAllPasses}}))
