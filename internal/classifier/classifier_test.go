@@ -574,3 +574,37 @@ func TestTCPFlagPrimitives(t *testing.T) {
 		t.Errorf("no flags -> %d, want 2", p)
 	}
 }
+
+// TestValidateChecksSafeLength: a program whose header understates
+// safe_length is rejected, because Compiled.Match reads frames of that
+// length unchecked; an overstated one only sends more frames down the
+// checked path and still classifies them correctly.
+func TestValidateChecksSafeLength(t *testing.T) {
+	const node = "0  12/08000000%ffff0000  yes->[0]  no->drop\n"
+	if _, err := ParseProgram("noutputs 1 entry 0 safe_length 0\n" + node); err == nil {
+		t.Error("safe_length 0 accepted for a test at offset 12")
+	}
+	if _, err := ParseProgram("noutputs 1 entry 0 safe_length 15\n" + node); err == nil {
+		t.Error("safe_length 15 accepted for a test at offset 12")
+	}
+	pr, err := ParseProgram("noutputs 1 entry 0 safe_length 64\n" + node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := func(n int) []byte {
+		b := make([]byte, n)
+		b[12] = 0x08
+		return b
+	}
+	c := Compile(pr)
+	for _, data := range [][]byte{{1, 2, 3}, ip(14), ip(16), make([]byte, 16), ip(64), ip(100)} {
+		wantPort, wantOK, _ := pr.Match(data)
+		port, ok, _ := c.Match(data)
+		if port != wantPort || ok != wantOK {
+			t.Errorf("%d-byte frame: compiled (%d, %v), interpreter (%d, %v)", len(data), port, ok, wantPort, wantOK)
+		}
+	}
+	if _, ok, _ := c.Match(ip(16)); !ok {
+		t.Error("16-byte IP frame dropped")
+	}
+}

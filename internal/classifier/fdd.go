@@ -253,25 +253,39 @@ func (pr *Program) SpecializeFDD(maxVisits int) bool {
 	visits := 0
 	overBudget := false
 
-	// heads[b] is the path's fact chain for offset bucket b; pushing a
-	// fact copies the array (copy-on-write persistence), which happens
-	// only at expansions, never on the decided fast path.
-	type factHeads [64]*fddFact
-	push := func(h *factHeads, b int, off int32, mask, value uint32, eq bool) *factHeads {
-		nh := *h
+	// heads[b] is the path's fact chain for offset bucket b, one bucket
+	// per field id; pushing a fact copies the heads (copy-on-write
+	// persistence), which happens only at expansions, never on the
+	// decided fast path. Heads and facts are carved from chunks that die
+	// with the call; chunks double so small programs stay small.
+	nIDs := min(len(fieldID), 64)
+	var headSlab []*fddFact
+	var factSlab []fddFact
+	chunk := 16
+	push := func(h []*fddFact, b int, off int32, mask, value uint32, eq bool) []*fddFact {
+		if len(factSlab) == 0 {
+			chunk = min(2*chunk, 4096)
+			factSlab = make([]fddFact, chunk)
+			headSlab = make([]*fddFact, chunk*nIDs)
+		}
+		nh := headSlab[:nIDs:nIDs]
+		headSlab = headSlab[nIDs:]
+		copy(nh, h)
+		f := &factSlab[0]
+		factSlab = factSlab[1:]
 		hash := fddFactHash(off, mask, value, eq)
-		f := &fddFact{off: off, mask: mask, value: value, eq: eq, hash: hash, prevSame: nh[b]}
+		*f = fddFact{off: off, mask: mask, value: value, eq: eq, hash: hash, prevSame: nh[b]}
 		f.osum, f.omix = hash, bits.RotateLeft64(hash, int(hash>>58))
 		if p := nh[b]; p != nil {
 			f.osum += p.osum
 			f.omix ^= p.omix
 		}
 		nh[b] = f
-		return &nh
+		return nh
 	}
 
-	var build func(t Target, heads *factHeads) Target
-	build = func(t Target, heads *factHeads) Target {
+	var build func(t Target, heads []*fddFact) Target
+	build = func(t Target, heads []*fddFact) Target {
 		// Decided fast path: hop along the chain of tests the path's
 		// facts already answer, without touching the memo.
 		for !t.IsLeaf() && !overBudget {
@@ -317,7 +331,7 @@ func (pr *Program) SpecializeFDD(maxVisits int) bool {
 		return r
 	}
 
-	entry := build(pr.Entry, &factHeads{})
+	entry := build(pr.Entry, make([]*fddFact, nIDs))
 	if overBudget {
 		return false
 	}

@@ -167,11 +167,12 @@ func (pr *Program) Depth() int {
 
 const hexDigits = "0123456789abcdef"
 
-// writeHex8 appends v as exactly eight lowercase hex digits (%08x).
-func writeHex8(b *strings.Builder, v uint32) {
+// appendHex8 appends v as exactly eight lowercase hex digits (%08x).
+func appendHex8(b []byte, v uint32) []byte {
 	for sh := 28; sh >= 0; sh -= 4 {
-		b.WriteByte(hexDigits[(v>>uint(sh))&0xf])
+		b = append(b, hexDigits[(v>>uint(sh))&0xf])
 	}
+	return b
 }
 
 // writeTarget appends t in its textual form (drop, [port], step_N).
@@ -205,14 +206,15 @@ func (pr *Program) String() string {
 	b.WriteString(" safe_length ")
 	b.WriteString(strconv.Itoa(pr.SafeLength))
 	b.WriteByte('\n')
+	var hex [8]byte
 	for i, e := range pr.Exprs {
 		b.WriteString(strconv.Itoa(i))
 		b.WriteString("  ")
 		b.WriteString(strconv.Itoa(int(e.Offset)))
 		b.WriteByte('/')
-		writeHex8(&b, e.Value)
+		b.Write(appendHex8(hex[:0], e.Value))
 		b.WriteByte('%')
-		writeHex8(&b, e.Mask)
+		b.Write(appendHex8(hex[:0], e.Mask))
 		b.WriteString("  yes->")
 		writeTarget(&b, e.Yes)
 		b.WriteString("  no->")
@@ -321,8 +323,9 @@ func parseTarget(s string) (Target, error) {
 }
 
 // Validate checks structural invariants: forward-only edges (hence
-// acyclicity), in-range node references and ports, and word-aligned
-// offsets.
+// acyclicity), in-range node references and ports, word-aligned
+// offsets, and a SafeLength that covers every test (Compiled.Match
+// reads packets at least that long unchecked).
 func (pr *Program) Validate() error {
 	check := func(from int, t Target) error {
 		if t.IsLeaf() {
@@ -345,6 +348,9 @@ func (pr *Program) Validate() error {
 	for i, e := range pr.Exprs {
 		if e.Offset%4 != 0 || e.Offset < 0 {
 			return fmt.Errorf("classifier: node %d offset %d not word-aligned", i, e.Offset)
+		}
+		if int(e.Offset)+4 > pr.SafeLength {
+			return fmt.Errorf("classifier: node %d reads past safe length %d", i, pr.SafeLength)
 		}
 		if e.Value&^e.Mask != 0 {
 			return fmt.Errorf("classifier: node %d value %08x outside mask %08x", i, e.Value, e.Mask)

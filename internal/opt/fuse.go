@@ -39,12 +39,18 @@ import (
 func Fuse(g *graph.Router, reg *core.Registry) error {
 	report := &PassReport{Pass: "fuse"}
 
-	// Stage 1: which live elements can be a fusion stage?
+	// Stage 1: which live elements can be a fusion stage? The answer
+	// depends on the class alone, so each class is asked once.
 	fusable := map[int]bool{}
+	stageClass := map[string]bool{}
 	for _, i := range g.LiveIndices() {
-		if isFuseStage(g, i, reg) {
-			fusable[i] = true
+		class := g.Element(i).Class
+		ok, seen := stageClass[class]
+		if !seen {
+			ok = isFuseStage(class, reg)
+			stageClass[class] = ok
 		}
+		fusable[i] = ok
 	}
 
 	// Stage 2: the absorption forest. Edge (u,p)->d is absorbable when
@@ -121,7 +127,16 @@ func Fuse(g *graph.Router, reg *core.Registry) error {
 		}
 	}
 
-	// Stage 3: compose and rewrite each run.
+	// Stage 3: compose and rewrite each run. Optimize, SpecializeFDD and
+	// the budget are a pure function of the spliced program, so a run
+	// whose splice equals one already composed in this call reuses that
+	// composition (the report still counts each run's nodes).
+	type composition struct {
+		spliced       *classifier.Program
+		tree, diagram int
+		gen           *genClass
+	}
+	var done []composition
 	for _, root := range roots {
 		var members []int
 		var exits [][]graph.Connection
@@ -160,45 +175,59 @@ func Fuse(g *graph.Router, reg *core.Registry) error {
 			return classifier.Splice(prog, cont, exitPort), nil
 		}
 
-		composed, err := buildFused(root)
+		prog, err := buildFused(root)
 		if err != nil {
 			return err
 		}
-		composed.NOutputs = len(exits)
-		composed.Optimize()
-		report.TreeNodes += len(composed.Exprs)
-		// The FDD rebuild enumerates fact contexts; budget it so
-		// adversarial compositions degrade to the (correct, merely
-		// larger) optimized tree instead of blowing up the tool. Long
-		// rule chains need quadratically many visits (each pinned-field
-		// context walks the remaining chain deciding tests), so the
-		// budget is quadratic with a hard cap; visits are O(1) each, so
-		// the cap bounds the pass at roughly a second per run.
-		budget := 100_000 + len(composed.Exprs)*len(composed.Exprs)/4
-		if budget > 100_000_000 {
-			budget = 100_000_000
-		}
-		if composed.SpecializeFDD(budget) {
-			composed.Optimize()
-		}
-		report.DiagramNodes += len(composed.Exprs)
-		if err := composed.Validate(); err != nil {
-			return fmt.Errorf("opt: fuse: composed program for %q invalid: %v", g.Element(root).Name, err)
-		}
-
-		// Runs with identical diagrams share a generated class.
-		var gen *genClass
-		for _, prev := range gens {
-			if prev.program.Equal(composed) {
-				gen = prev
+		prog.NOutputs = len(exits)
+		var run *composition
+		for k := range done {
+			if done[k].spliced.Equal(prog) {
+				run = &done[k]
 				break
 			}
 		}
-		if gen == nil {
-			gen = &genClass{name: fmt.Sprintf("FusedClassifier_%d", next), program: composed}
-			next++
-			gens = append(gens, gen)
+		if run == nil {
+			spliced := prog.Clone()
+			prog.Optimize()
+			tree := len(prog.Exprs)
+			// The FDD rebuild enumerates fact contexts; budget it so
+			// adversarial compositions degrade to the (correct, merely
+			// larger) optimized tree instead of blowing up the tool. Long
+			// rule chains need quadratically many visits (each
+			// pinned-field context walks the remaining chain deciding
+			// tests), so the budget is quadratic with a hard cap; visits
+			// are O(1) each, so the cap bounds the pass at roughly a
+			// second per run.
+			budget := 100_000 + tree*tree/4
+			if budget > 100_000_000 {
+				budget = 100_000_000
+			}
+			if prog.SpecializeFDD(budget) {
+				prog.Optimize()
+			}
+			if err := prog.Validate(); err != nil {
+				return fmt.Errorf("opt: fuse: composed program for %q invalid: %v", g.Element(root).Name, err)
+			}
+			// Runs with identical diagrams share a generated class.
+			var gen *genClass
+			for _, prev := range gens {
+				if prev.program.Equal(prog) {
+					gen = prev
+					break
+				}
+			}
+			if gen == nil {
+				gen = &genClass{name: fmt.Sprintf("FusedClassifier_%d", next), program: prog}
+				next++
+				gens = append(gens, gen)
+			}
+			done = append(done, composition{spliced, tree, len(prog.Exprs), gen})
+			run = &done[len(done)-1]
 		}
+		report.TreeNodes += run.tree
+		report.DiagramNodes += run.diagram
+		gen := run.gen
 		gen.used = true
 		if report.Classes == nil {
 			report.Classes = map[string][]string{}
@@ -261,19 +290,19 @@ func Fuse(g *graph.Router, reg *core.Registry) error {
 	return nil
 }
 
-// isFuseStage reports whether element i is classification-only: its
-// entire effect is routing the unmodified packet to an output chosen by
-// header inspection, expressible as a decision-tree program. That is
+// isFuseStage reports whether elements of class are
+// classification-only: their entire effect is routing the unmodified
+// packet to an output chosen by header inspection, expressible as a
+// decision-tree program. That is
 // the generic classifiers (and their devirtualized variants), any
 // generated class whose instances expose a decision tree (fast and
 // fused classifiers), and StaticSwitch, whose constant choice is a
 // degenerate program.
-func isFuseStage(g *graph.Router, i int, reg *core.Registry) bool {
-	class := elements.StripDevirt(g.Element(i).Class)
-	if class == "StaticSwitch" || classifierClasses[class] {
+func isFuseStage(class string, reg *core.Registry) bool {
+	if base := elements.StripDevirt(class); base == "StaticSwitch" || classifierClasses[base] {
 		return true
 	}
-	spec, ok := reg.Lookup(g.Element(i).Class)
+	spec, ok := reg.Lookup(class)
 	if !ok || spec.Make == nil {
 		return false
 	}
@@ -362,10 +391,10 @@ func parseProgramsArchive(data []byte) ([]namedProgram, error) {
 		if text == "" {
 			break
 		}
-		if !strings.HasPrefix(text, "class ") {
+		nl := strings.IndexByte(text, '\n')
+		if !strings.HasPrefix(text, "class ") || nl < 0 {
 			return nil, fmt.Errorf("bad programs archive member")
 		}
-		nl := strings.IndexByte(text, '\n')
 		name := strings.TrimSpace(text[len("class "):nl])
 		text = text[nl+1:]
 		end := strings.Index(text, "end\n")

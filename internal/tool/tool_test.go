@@ -104,3 +104,18 @@ func TestReadConfigParseError(t *testing.T) {
 		t.Error("bad config accepted")
 	}
 }
+
+// TestReadConfigRejectsTruncatedProgramsMember: a programs member whose
+// class line has no newline is a configuration error, not a crash.
+func TestReadConfigRejectsTruncatedProgramsMember(t *testing.T) {
+	for _, member := range []string{"fuse/programs", "fastclassifier/programs"} {
+		in := filepath.Join(t.TempDir(), "bad.click")
+		data := lang.PackConfig("Idle -> Discard;\n", []lang.ArchiveMember{{Name: member, Data: []byte("class X")}})
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadConfig(in, Registry()); err == nil {
+			t.Errorf("%s member %q accepted", member, "class X")
+		}
+	}
+}
