@@ -2,12 +2,11 @@
 // (§4, §8) on the simulated testbed. Run with -experiment all for the
 // full evaluation, or name one of: fastclassifier, vcall, fig8, fig9,
 // fig10, fig11, fig12, fig13, ablation, adaptive, fusion, flowcache,
-// tenants, mgmtscale.
+// tenants.
 //
-// The adaptive, fusion, flowcache, tenants, and mgmtscale experiments
-// also write machine-readable results when given -json (e.g.
-// -experiment tenants -json BENCH_tenants.json for the multi-tenant
-// isolation sweep).
+// The adaptive, fusion, flowcache, and tenants experiments also write
+// machine-readable results when given -json (e.g. -experiment tenants
+// -json BENCH_tenants.json for the multi-tenant isolation sweep).
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiment, the usual way to see where the wall-clock experiments
@@ -28,7 +27,7 @@ import (
 
 func run() error {
 	name := flag.String("experiment", "all", "experiment to run")
-	jsonPath := flag.String("json", "", "also write JSON results to this file (adaptive, fusion, flowcache, tenants, and mgmtscale experiments)")
+	jsonPath := flag.String("json", "", "also write JSON results to this file (adaptive, fusion, flowcache, and tenants experiments)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the experiment) to this file")
 	flag.Parse()

@@ -131,7 +131,7 @@ func (t *InternTable) Release(names []string) {
 // InternStats is a sharing snapshot. ResidentNodes is the memory
 // actually held by referenced diagrams; UnsharedNodes is what
 // residency would cost if every reference carried a private copy — the
-// ratio is the sharing factor the mgmtscale benchmark reports.
+// ratio is the sharing factor (mgmt's TestSharingSublinear pins it).
 type InternStats struct {
 	Programs      int   `json:"programs"`       // distinct referenced programs
 	Refs          int   `json:"refs"`           // total references across configurations

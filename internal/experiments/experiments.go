@@ -573,6 +573,5 @@ var Experiments = map[string]func(io.Writer) error{
 	"fusion":         FusionBench,
 	"flowcache":      FlowCacheBench,
 	"tenants":        TenantsBench,
-	"mgmtscale":      MgmtScaleBench,
 	"all":            All,
 }

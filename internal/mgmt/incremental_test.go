@@ -1,10 +1,13 @@
 package mgmt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/classifier"
 	"repro/internal/core"
+	"repro/internal/iprouter"
 	"repro/internal/lang"
 )
 
@@ -139,9 +142,6 @@ func TestIncrementalOpStatsAndCache(t *testing.T) {
 	if rep.ConfigCacheHits < 1 {
 		t.Errorf("config cache hits = %d, want >= 1 (tenant b re-used tenant a's text)", rep.ConfigCacheHits)
 	}
-	if !rep.Incremental {
-		t.Error("default plane reports Incremental = false")
-	}
 	if rep.Tenants != 1 {
 		t.Errorf("tenants = %d, want 1", rep.Tenants)
 	}
@@ -158,32 +158,134 @@ func TestIncrementalOpStatsAndCache(t *testing.T) {
 	}
 }
 
-// TestIncrementalFullRebuildParity runs the same lifecycle on an
-// incremental plane and a FullRebuild plane and compares the surviving
-// tenants' conserved counters — the two installation strategies must
-// be observationally equivalent at the handler surface.
-func TestIncrementalFullRebuildParity(t *testing.T) {
-	run := func(fullRebuild bool) (int64, int64) {
-		p, err := NewPlane(Options{FullRebuild: fullRebuild})
+// TestIncrementalLifecycleCounts runs a create/swap/delete/create
+// lifecycle and pins the surviving tenants' delivered counts. The
+// swapped-in source resumes from the 50 packets a already emitted, so
+// a's new Discard counts only the 40 beyond them; a deleted neighbour
+// b leaves no trace on c. A plane rebuilt from scratch at every
+// operation delivered the same counts.
+func TestIncrementalLifecycleCounts(t *testing.T) {
+	p, err := NewPlane(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, p, "a", tenantConfig(50, 16))
+	mustCreate(t, p, "b", tenantConfig(70, 16))
+	drain(p)
+	if err := p.Swap("a", tenantConfig(90, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Delete("b"); err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, p, "c", tenantConfig(30, 16))
+	drain(p)
+	if a, c := readInt(t, p, "a", "d", "count"), readInt(t, p, "c", "d", "count"); a != 40 || c != 30 {
+		t.Errorf("delivered a=%d c=%d, want 40/30", a, c)
+	}
+}
+
+// buildFailingConfig passes admission (it parses, fuses, and fits the
+// limits) but fails in core.Build: the route table entry is malformed.
+const buildFailingConfig = `pd :: PollDevice(eth0) -> r :: LookupIPRoute(bogus) -> q :: Queue(8) -> td :: ToDevice(eth1);`
+
+// TestIncrementalRollbackOnBuildFailure drives the one rollback path
+// the plane has: a configuration admitted but refused by core.Build. A
+// failed Create and a failed Swap must leave the tenant set, the live
+// router, a neighbour's counters, and the sharing table exactly as
+// they were, and the tenant whose swap failed keeps forwarding on its
+// old configuration.
+func TestIncrementalRollbackOnBuildFailure(t *testing.T) {
+	p, err := NewPlane(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, p, "n", tenantConfig(30, 64))
+	mustCreate(t, p, "fw", firewallConfig(2000))
+	drain(p)
+	mustCreate(t, p, "a", tenantConfig(40, 64))
+
+	type snapshot struct {
+		tenants  string
+		elements int
+		neighbor int64
+		sharing  classifier.InternStats
+	}
+	snap := func() snapshot {
+		var elems int
+		p.Scheduler().SyncDo(func() { elems = len(p.Scheduler().Router().Graph.LiveIndices()) })
+		return snapshot{
+			tenants:  fmt.Sprint(p.Tenants()),
+			elements: elems,
+			neighbor: readInt(t, p, "n", "d", "count"),
+			sharing:  p.SharingStats(),
+		}
+	}
+	before := snap()
+	if before.sharing.Refs == 0 {
+		t.Fatalf("firewall tenant interned nothing: %+v", before.sharing)
+	}
+
+	if err := p.Create("bad", buildFailingConfig, Limits{}); err == nil {
+		t.Fatal("create of an unbuildable config succeeded")
+	}
+	if got := snap(); got != before {
+		t.Errorf("failed create changed the plane:\n  before %+v\n  after  %+v", before, got)
+	}
+	if err := p.Swap("a", buildFailingConfig); err == nil {
+		t.Fatal("swap to an unbuildable config succeeded")
+	}
+	if got := snap(); got != before {
+		t.Errorf("failed swap changed the plane:\n  before %+v\n  after  %+v", before, got)
+	}
+	drain(p)
+	if got := readInt(t, p, "a", "d", "count"); got != 40 {
+		t.Errorf("tenant a delivered %d after its failed swap, want 40 on its old config", got)
+	}
+}
+
+// firewallConfig is a fusable classifier-chain tenant: the §4 firewall
+// with rule 11 replaced by an allow for one UDP port, so each port is
+// a distinct ruleset.
+func firewallConfig(port int) string {
+	rules := append([]string(nil), iprouter.FirewallRules()...)
+	rules[10] = fmt.Sprintf("allow dst host 10.0.0.2 && udp && dst port %d", port)
+	return fmt.Sprintf(`pd :: PollDevice(eth0) -> flt :: IPFilter(%s) -> fc :: IPClassifier(udp, tcp, -);
+fc [0] -> q :: Queue(64) -> td :: ToDevice(eth1);
+fc [1] -> q;
+fc [2] -> ds :: Discard;
+`, strings.Join(rules, ", "))
+}
+
+// TestSharingSublinear checks that resident classifier memory grows
+// with distinct rulesets, not tenant count: planes of 8 and 32 tenants
+// over the same two rulesets hold the same programs and nodes, while
+// references — and what private copies would cost — grow with the
+// fleet.
+func TestSharingSublinear(t *testing.T) {
+	stats := func(n int) classifier.InternStats {
+		p, err := NewPlane(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustCreate(t, p, "a", tenantConfig(50, 16))
-		mustCreate(t, p, "b", tenantConfig(70, 16))
-		drain(p)
-		if err := p.Swap("a", tenantConfig(90, 16)); err != nil {
-			t.Fatal(err)
+		for i := 0; i < n; i++ {
+			mustCreate(t, p, fmt.Sprintf("t%d", i), firewallConfig(2000+i%2))
 		}
-		if err := p.Delete("b"); err != nil {
-			t.Fatal(err)
-		}
-		mustCreate(t, p, "c", tenantConfig(30, 16))
-		drain(p)
-		return readInt(t, p, "a", "d", "count"), readInt(t, p, "c", "d", "count")
+		return p.SharingStats()
 	}
-	incA, incC := run(false)
-	fullA, fullC := run(true)
-	if incA != fullA || incC != fullC {
-		t.Errorf("incremental delivered a=%d c=%d, full rebuild a=%d c=%d", incA, incC, fullA, fullC)
+	small, large := stats(8), stats(32)
+	if small.Programs == 0 || small.Programs != large.Programs || small.ResidentNodes != large.ResidentNodes {
+		t.Errorf("resident diagrams grew with the fleet: 8 tenants %+v, 32 tenants %+v", small, large)
+	}
+	if large.Refs != 4*small.Refs {
+		t.Errorf("refs = %d at 8 tenants, %d at 32, want 4x", small.Refs, large.Refs)
+	}
+	for _, s := range []classifier.InternStats{small, large} {
+		// Both rulesets carry the same share of the references, so the
+		// private-copy cost is refs x the mean nodes per program.
+		if s.UnsharedNodes*s.Programs != s.Refs*s.ResidentNodes {
+			t.Errorf("unshared nodes %d != refs %d x %d resident nodes / %d programs",
+				s.UnsharedNodes, s.Refs, s.ResidentNodes, s.Programs)
+		}
 	}
 }

@@ -4,17 +4,15 @@
 // "tenant/" name prefix, the read/write handler tree is the uniform
 // control surface, and an HTTP/JSON API (http.go) exposes it.
 //
-// Control operations are incremental by default: a tenant
-// create/swap/delete parses and optimizes only the affected tenant's
-// configuration (cached by config hash, so re-admitting a known config
-// skips even that), builds just its subgraph, and patches it into the
-// running combined router at a scheduler quiescent point
+// Control operations are incremental: a tenant create/swap/delete
+// parses and optimizes only the affected tenant's configuration
+// (cached by config hash, so re-admitting a known config skips even
+// that), builds just its subgraph, and patches it into the running
+// combined router at a scheduler quiescent point
 // (Scheduler.SpliceTenant / SwapTenant / RemoveTenant) — O(tenant) per
-// operation instead of the O(fleet) full rebuild the plane launched
-// with, which survives as Options.FullRebuild, the reference the
-// equivalence tests and the mgmtscale experiment compare against. Swaps
-// keep the zero-loss hot-swap semantics: same-name same-type elements
-// carry their queue contents, counters, and table state across.
+// operation, never a rebuild of the fleet. Swaps keep the zero-loss
+// hot-swap semantics: same-name same-type elements carry their queue
+// contents, counters, and table state across.
 //
 // Tenants with identical rulesets share fused classifier decision
 // diagrams through a plane-wide hash-cons table
@@ -96,16 +94,6 @@ type Options struct {
 	Devices DeviceProvider
 	// Limits are the default per-tenant limits.
 	Limits Limits
-	// FullRebuild reverts every control operation to the O(fleet)
-	// path: rebuild the whole combined router and install it through a
-	// full hot-swap. Reference mode for tests and the mgmtscale
-	// experiment, which compare the incremental path against it.
-	FullRebuild bool
-	// NoShare disables per-tenant classifier fusion and the
-	// cross-tenant shared-diagram table, admitting configurations
-	// exactly as written. Reference mode for tests and the mgmtscale
-	// experiment.
-	NoShare bool
 }
 
 // TenantInfo is one tenant's control-plane view.
@@ -145,9 +133,8 @@ func (o *OpStats) record(d time.Duration) {
 // PlaneReport is the plane-wide control surface snapshot served at
 // GET /report.
 type PlaneReport struct {
-	Tenants     int  `json:"tenants"`
-	Elements    int  `json:"elements"`
-	Incremental bool `json:"incremental"`
+	Tenants  int `json:"tenants"`
+	Elements int `json:"elements"`
 
 	Create OpStats `json:"create"`
 	Swap   OpStats `json:"swap"`
@@ -159,9 +146,9 @@ type PlaneReport struct {
 	Sharing classifier.InternStats `json:"sharing"`
 }
 
-// cachedConfig is one parsed (and, unless NoShare, fused + interned)
-// configuration, keyed by the config text's hash. It is
-// tenant-neutral: device rewriting happens on a per-tenant clone.
+// cachedConfig is one parsed, fused and interned configuration, keyed
+// by the config text's hash. It is tenant-neutral: device rewriting
+// happens on a per-tenant clone.
 type cachedConfig struct {
 	graph  *graph.Router
 	shared []string // shared fused-class names the config uses
@@ -222,7 +209,14 @@ func NewPlane(opts Options) (*Plane, error) {
 		devs:    map[string]interface{}{},
 		table:   classifier.NewInternTable(),
 	}
-	rt, err := p.buildCombined()
+	// The combined router of the empty fleet, via combine with zero
+	// links — pure namespacing, the §7.2 machinery. Every tenant is
+	// spliced into it later.
+	g, err := p.combinedGraph()
+	if err != nil {
+		return nil, err
+	}
+	rt, err := core.Build(g, p.reg, core.BuildOptions{Burst: opts.Burst})
 	if err != nil {
 		return nil, err
 	}
@@ -260,9 +254,9 @@ func validTenantID(id string) error {
 // its hash: a config the plane has seen before — the same tenant
 // re-swapped, or a different tenant running the identical ruleset —
 // costs one map lookup instead of a parse, a fusion pass, and a
-// diagram build. Unless NoShare, the graph's fused classifiers are
-// interned in the plane-wide table so equal diagrams are shared
-// tenant-to-tenant. Callers hold p.mu.
+// diagram build. The graph's fused classifiers are interned in the
+// plane-wide table so equal diagrams are shared tenant-to-tenant.
+// Callers hold p.mu.
 func (p *Plane) parsedConfig(text string) (*cachedConfig, error) {
 	h := sha256.Sum256([]byte(text))
 	if c, ok := p.cache[h]; ok {
@@ -274,16 +268,14 @@ func (p *Plane) parsedConfig(text string) (*cachedConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &cachedConfig{graph: g}
-	if !p.opts.NoShare {
-		if err := opt.Fuse(g, p.reg); err != nil {
-			return nil, err
-		}
-		c.shared, err = opt.ShareFusedPrograms(g, p.reg, p.table)
-		if err != nil {
-			return nil, err
-		}
+	if err := opt.Fuse(g, p.reg); err != nil {
+		return nil, err
 	}
+	shared, err := opt.ShareFusedPrograms(g, p.reg, p.table)
+	if err != nil {
+		return nil, err
+	}
+	c := &cachedConfig{graph: g, shared: shared}
 	p.cache[h] = c
 	return c, nil
 }
@@ -376,21 +368,6 @@ func (p *Plane) CombinedGraph() (*graph.Router, error) {
 	return p.combinedGraph()
 }
 
-// buildCombined assembles every admitted tenant into one router via
-// combine with zero links — pure namespacing, the §7.2 machinery run
-// at fleet scale. Callers hold p.mu (or are in NewPlane).
-func (p *Plane) buildCombined() (*core.Router, error) {
-	g, err := p.combinedGraph()
-	if err != nil {
-		return nil, err
-	}
-	env := make(map[string]interface{}, len(p.devs))
-	for k, v := range p.devs {
-		env[k] = v
-	}
-	return core.Build(g, p.reg, core.BuildOptions{Burst: p.opts.Burst, Env: env})
-}
-
 // buildSub assembles one tenant's subrouter: its graph alone through
 // the same combine pass (for the name prefix) and the same Build path,
 // with only its own devices in the environment. This is the O(tenant)
@@ -408,21 +385,6 @@ func (p *Plane) buildSub(t *tenant) (*core.Router, error) {
 		}
 	}
 	return core.Build(g, p.reg, core.BuildOptions{Burst: p.opts.Burst, Env: env})
-}
-
-// install rebuilds the combined router and hot-swaps it in at a
-// quiescent point — the full O(fleet) path, used by FullRebuild mode.
-// Unchanged tenants' elements keep their state: the transplant matches
-// by (prefixed) name and Go type, and prefixes are stable. Callers hold
-// p.mu.
-func (p *Plane) install() error {
-	next, err := p.buildCombined()
-	if err != nil {
-		return err
-	}
-	var swapErr error
-	p.sched.SyncDo(func() { swapErr = p.sched.Hotswap(next) })
-	return swapErr
 }
 
 // provisionDevices binds a tenant's devices into the environment map.
@@ -461,10 +423,10 @@ func closeRemoved(removed []core.Element) {
 }
 
 // Create admits a new tenant and installs it. Zero-valued limits take
-// the plane defaults. On the incremental path only the new tenant's
-// subgraph is parsed (or fetched from the config cache), built, and
-// spliced into the running router at a quiescent point; every other
-// tenant's elements are untouched.
+// the plane defaults. Only the new tenant's subgraph is parsed (or
+// fetched from the config cache), built, and spliced into the running
+// router at a quiescent point; every other tenant's elements are
+// untouched.
 func (p *Plane) Create(id, configText string, lim Limits) error {
 	start := time.Now()
 	if err := validTenantID(id); err != nil {
@@ -484,26 +446,16 @@ func (p *Plane) Create(id, configText string, lim Limits) error {
 	}
 	p.tenants[id] = t
 	p.provisionDevices(t)
-	if p.opts.FullRebuild {
-		if err := p.install(); err != nil {
-			// Roll back: the failed configuration must not strand the
-			// other tenants.
-			delete(p.tenants, id)
-			p.dropDevices(t)
-			return err
-		}
-	} else {
-		sub, err := p.buildSub(t)
-		if err == nil {
-			var serr error
-			p.sched.SyncDo(func() { serr = p.sched.SpliceTenant(sub) })
-			err = serr
-		}
-		if err != nil {
-			delete(p.tenants, id)
-			p.dropDevices(t)
-			return err
-		}
+	sub, err := p.buildSub(t)
+	if err == nil {
+		p.sched.SyncDo(func() { err = p.sched.SpliceTenant(sub) })
+	}
+	if err != nil {
+		// Roll back: the failed configuration must not strand the
+		// other tenants.
+		delete(p.tenants, id)
+		p.dropDevices(t)
+		return err
 	}
 	p.table.Retain(t.shared)
 	t.createNS = time.Since(start).Nanoseconds()
@@ -514,8 +466,8 @@ func (p *Plane) Create(id, configText string, lim Limits) error {
 // Swap replaces one tenant's configuration through a zero-loss
 // hot-swap: the tenant's same-name, same-type elements keep their
 // queue contents and counters, and every other tenant is untouched.
-// On the incremental path only the tenant's subgraph is rebuilt and
-// exchanged (Scheduler.SwapTenant) at a quiescent point.
+// Only the tenant's subgraph is rebuilt and exchanged
+// (Scheduler.SwapTenant) at a quiescent point.
 func (p *Plane) Swap(id, configText string) error {
 	start := time.Now()
 	p.mu.Lock()
@@ -533,26 +485,15 @@ func (p *Plane) Swap(id, configText string) error {
 	p.tenants[id] = t
 	p.dropDevices(old)
 	p.provisionDevices(t)
-	if p.opts.FullRebuild {
-		if err := p.install(); err != nil {
-			p.tenants[id] = old
-			p.dropDevices(t)
-			p.provisionDevices(old)
-			return err
-		}
-	} else {
-		sub, err := p.buildSub(t)
-		if err == nil {
-			var serr error
-			p.sched.SyncDo(func() { _, serr = p.sched.SwapTenant(tenantPrefix(id), sub) })
-			err = serr
-		}
-		if err != nil {
-			p.tenants[id] = old
-			p.dropDevices(t)
-			p.provisionDevices(old)
-			return err
-		}
+	sub, err := p.buildSub(t)
+	if err == nil {
+		p.sched.SyncDo(func() { _, err = p.sched.SwapTenant(tenantPrefix(id), sub) })
+	}
+	if err != nil {
+		p.tenants[id] = old
+		p.dropDevices(t)
+		p.provisionDevices(old)
+		return err
 	}
 	p.table.Retain(t.shared)
 	p.table.Release(old.shared)
@@ -561,9 +502,8 @@ func (p *Plane) Swap(id, configText string) error {
 	return nil
 }
 
-// Delete removes a tenant. Other tenants keep their state across the
-// installation; on the incremental path their elements are not even
-// rebuilt — the tenant's subgraph is unlinked from the running router
+// Delete removes a tenant. Other tenants' elements are not even
+// rebuilt: the tenant's subgraph is unlinked from the running router
 // at a quiescent point and its elements closed.
 func (p *Plane) Delete(id string) error {
 	start := time.Now()
@@ -575,20 +515,9 @@ func (p *Plane) Delete(id string) error {
 	}
 	delete(p.tenants, id)
 	p.dropDevices(t)
-	if p.opts.FullRebuild {
-		if err := p.install(); err != nil {
-			// Reinstate: a failed rebuild must not leave the plane running
-			// a router that still contains the tenant while the control
-			// plane thinks it is gone.
-			p.tenants[id] = t
-			p.provisionDevices(t)
-			return err
-		}
-	} else {
-		var removed []core.Element
-		p.sched.SyncDo(func() { removed = p.sched.RemoveTenant(tenantPrefix(id)) })
-		closeRemoved(removed)
-	}
+	var removed []core.Element
+	p.sched.SyncDo(func() { removed = p.sched.RemoveTenant(tenantPrefix(id)) })
+	closeRemoved(removed)
 	p.table.Release(t.shared)
 	p.stats.delete.record(time.Since(start))
 	return nil
@@ -752,7 +681,6 @@ func (p *Plane) Report() *PlaneReport {
 	p.mu.Lock()
 	rep := &PlaneReport{
 		Tenants:           len(p.tenants),
-		Incremental:       !p.opts.FullRebuild,
 		Create:            p.stats.create,
 		Swap:              p.stats.swap,
 		Delete:            p.stats.delete,

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mgmt"
 	"repro/internal/packet"
@@ -13,27 +12,19 @@ import (
 // multi-tenant control plane — with scripted packet I/O. Unlike the
 // event-driven Testbed (which models NIC timing on the simulated CPU),
 // PlaneBed binds plain in-memory devices to each tenant: ingress
-// frames are queued by the test or benchmark, egress frames are
-// counted and optionally captured byte-for-byte. That makes it both
-// the load generator for the mgmtscale experiment (is the dataplane
-// still forwarding while tenants come and go?) and the oracle for the
-// incremental-vs-rebuild equivalence difftests (did the spliced router
-// emit exactly the frames the from-scratch router does?).
+// frames are queued by the test, egress frames are captured
+// byte-for-byte. The plane difftest compares that capture against an
+// independent per-tenant reference router fed the same frames.
 
 // PlaneDevice is one tenant interface: a scripted RX queue and a
-// counting (optionally capturing) TX sink. It is safe for concurrent
-// use — the plane's pump dequeues/enqueues while the test injects and
-// inspects.
+// capturing TX sink. It is safe for concurrent use — the plane's pump
+// dequeues/enqueues while the test injects and inspects.
 type PlaneDevice struct {
-	name    string
-	capture bool
+	name string
 
 	mu sync.Mutex
 	rx [][]byte
 	tx [][]byte
-
-	rxCount int64
-	txCount int64
 }
 
 // DeviceName returns the scoped device name ("tenant:eth0").
@@ -65,20 +56,15 @@ func (d *PlaneDevice) RxDequeue() *packet.Packet {
 	frame := d.rx[0]
 	d.rx = d.rx[1:]
 	d.mu.Unlock()
-	atomic.AddInt64(&d.rxCount, 1)
 	return packet.New(frame)
 }
 
-// TxEnqueue accepts every transmitted packet, copying its bytes when
-// capture is on.
+// TxEnqueue accepts every transmitted packet, copying its bytes.
 func (d *PlaneDevice) TxEnqueue(p *packet.Packet) bool {
-	if d.capture {
-		frame := append([]byte(nil), p.Data()...)
-		d.mu.Lock()
-		d.tx = append(d.tx, frame)
-		d.mu.Unlock()
-	}
-	atomic.AddInt64(&d.txCount, 1)
+	frame := append([]byte(nil), p.Data()...)
+	d.mu.Lock()
+	d.tx = append(d.tx, frame)
+	d.mu.Unlock()
 	p.Kill()
 	return true
 }
@@ -89,27 +75,11 @@ func (d *PlaneDevice) TxRoom() bool { return true }
 // TxClean reclaims nothing; transmits complete immediately.
 func (d *PlaneDevice) TxClean() int { return 0 }
 
-// TxCount returns the number of frames transmitted so far.
-func (d *PlaneDevice) TxCount() int64 { return atomic.LoadInt64(&d.txCount) }
-
-// Captured snapshots the transmitted frames (capture mode only).
+// Captured snapshots the transmitted frames.
 func (d *PlaneDevice) Captured() [][]byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([][]byte(nil), d.tx...)
-}
-
-// PlaneBedOptions configure a plane testbed.
-type PlaneBedOptions struct {
-	// Burst is the plane's router-wide batch size.
-	Burst int
-	// FullRebuild and NoShare select the plane's baseline modes.
-	FullRebuild bool
-	NoShare     bool
-	// Capture records every egress frame byte-for-byte (the
-	// equivalence difftests need it; the scale benchmark leaves it off
-	// and uses counts).
-	Capture bool
 }
 
 // PlaneBed is a mgmt.Plane wired to PlaneDevices. Devices are memoized
@@ -121,18 +91,14 @@ type PlaneBed struct {
 
 	mu   sync.Mutex
 	devs map[string]*PlaneDevice
-	opts PlaneBedOptions
 }
 
 // NewPlaneBed builds a plane whose device provider hands out
 // PlaneDevices.
-func NewPlaneBed(o PlaneBedOptions) (*PlaneBed, error) {
-	b := &PlaneBed{devs: map[string]*PlaneDevice{}, opts: o}
+func NewPlaneBed() (*PlaneBed, error) {
+	b := &PlaneBed{devs: map[string]*PlaneDevice{}}
 	p, err := mgmt.NewPlane(mgmt.Options{
-		Burst:       o.Burst,
-		FullRebuild: o.FullRebuild,
-		NoShare:     o.NoShare,
-		Devices:     func(tenant, dev string) interface{} { return b.Device(tenant, dev) },
+		Devices: func(tenant, dev string) interface{} { return b.Device(tenant, dev) },
 	})
 	if err != nil {
 		return nil, err
@@ -150,7 +116,7 @@ func (b *PlaneBed) Device(tenant, dev string) *PlaneDevice {
 	defer b.mu.Unlock()
 	d, ok := b.devs[key]
 	if !ok {
-		d = &PlaneDevice{name: key, capture: b.opts.Capture}
+		d = &PlaneDevice{name: key}
 		b.devs[key] = d
 	}
 	return d
@@ -167,21 +133,6 @@ func (b *PlaneBed) PendingRx() int {
 	n := 0
 	for _, d := range devs {
 		n += d.Pending()
-	}
-	return n
-}
-
-// TotalTx sums transmitted frames across every device.
-func (b *PlaneBed) TotalTx() int64 {
-	b.mu.Lock()
-	devs := make([]*PlaneDevice, 0, len(b.devs))
-	for _, d := range b.devs {
-		devs = append(devs, d)
-	}
-	b.mu.Unlock()
-	var n int64
-	for _, d := range devs {
-		n += d.TxCount()
 	}
 	return n
 }
