@@ -3,7 +3,6 @@ package classifier
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
 	"sync"
 )
 
@@ -34,6 +33,9 @@ type InternTable struct {
 	byName  map[string]*InternEntry
 	lookups int64
 	hits    int64
+	// live sums the referenced entries as Retain and Release move
+	// them, so Stats costs nothing however many entries the table holds.
+	live InternStats
 }
 
 // InternEntry is one canonical fused program.
@@ -111,6 +113,7 @@ func (t *InternTable) Retain(names []string) {
 	for _, n := range names {
 		if e, ok := t.byName[n]; ok {
 			e.refs++
+			t.count(e, 1)
 		}
 	}
 }
@@ -123,9 +126,22 @@ func (t *InternTable) Release(names []string) {
 	defer t.mu.Unlock()
 	for _, n := range names {
 		if e, ok := t.byName[n]; ok && e.refs > 0 {
+			t.count(e, -1)
 			e.refs--
 		}
 	}
+}
+
+// count moves the live totals by one reference to e, taken (d = 1,
+// after the increment) or dropped (d = -1, before the decrement).
+// Callers hold t.mu.
+func (t *InternTable) count(e *InternEntry, d int) {
+	if e.refs == 1 {
+		t.live.Programs += d
+		t.live.ResidentNodes += d * e.Nodes
+	}
+	t.live.Refs += d
+	t.live.UnsharedNodes += d * e.Nodes
 }
 
 // InternStats is a sharing snapshot. ResidentNodes is the memory
@@ -145,22 +161,7 @@ type InternStats struct {
 func (t *InternTable) Stats() InternStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var s InternStats
+	s := t.live
 	s.Lookups, s.Hits = t.lookups, t.hits
-	names := make([]string, 0, len(t.byName))
-	for n := range t.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		e := t.byName[n]
-		if e.refs == 0 {
-			continue
-		}
-		s.Programs++
-		s.Refs += e.refs
-		s.ResidentNodes += e.Nodes
-		s.UnsharedNodes += e.refs * e.Nodes
-	}
 	return s
 }

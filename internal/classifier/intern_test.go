@@ -1,6 +1,8 @@
 package classifier
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -73,5 +75,41 @@ func TestInternTableSharedFDD(t *testing.T) {
 	}
 	if s := table.Stats(); s.Hits == 0 {
 		t.Error("revival did not count as an intern hit")
+	}
+}
+
+// TestInternStatsMatchRecount drives random retains and releases
+// (unknown names and releases past zero included) and checks after each
+// that the running totals Stats returns equal a recount of the entries.
+func TestInternStatsMatchRecount(t *testing.T) {
+	table := NewInternTable()
+	var names []string
+	for port := 0; port < 4; port++ {
+		rules := []string{fmt.Sprintf("allow udp && dst port %d", 50+port), "deny all"}
+		names = append(names, table.Intern(internTestProgram(t, rules)).Name)
+	}
+	names = append(names, "FusedShared_unknown")
+	r := rand.New(rand.NewSource(1))
+	for step := 0; step < 2000; step++ {
+		pick := []string{names[r.Intn(len(names))], names[r.Intn(len(names))]}
+		if r.Intn(2) == 0 {
+			table.Retain(pick)
+		} else {
+			table.Release(pick)
+		}
+		var want InternStats
+		for _, e := range table.byName {
+			if e.refs > 0 {
+				want.Programs++
+				want.Refs += e.refs
+				want.ResidentNodes += e.Nodes
+				want.UnsharedNodes += e.refs * e.Nodes
+			}
+		}
+		got := table.Stats()
+		got.Lookups, got.Hits = 0, 0
+		if got != want {
+			t.Fatalf("step %d: stats %+v, recount %+v", step, got, want)
+		}
 	}
 }

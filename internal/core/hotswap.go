@@ -55,8 +55,8 @@ func (rt *Router) Hotswap(next *Router) error {
 	var pairs []pair
 	for _, e := range next.elements {
 		name := e.base().name
-		old, ok := rt.byName[name]
-		if !ok {
+		old := rt.Find(name)
+		if old == nil {
 			continue
 		}
 		if len(pairs) == 0 {

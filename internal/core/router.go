@@ -12,19 +12,21 @@ import (
 )
 
 // Router is an assembled, runnable router: the runtime counterpart of a
-// configuration graph. Configurations are static (§5.1) — there is no
-// way to add or remove elements from a live Router; install a new one
-// instead.
+// configuration graph. Configurations are static (§5.1): a live Router
+// never rewires an element; it changes only by hot-swap (install a new
+// one) or by splicing a prebuilt subrouter in or taking one out
+// (splice.go).
 type Router struct {
 	Graph    *graph.Router
 	Registry *Registry
 	CPU      *simcpu.CPU
 
-	elements  []Element
-	byName    map[string]Element
+	elements  []Element // parallel to Graph.Elements, whose name index finds them
 	tasks     []Task
 	weights   []int
 	taskElems []int // element index of each task, parallel to tasks
+	dead      int   // removed element slots awaiting compaction (splice.go)
+	deadTasks int   // removed task slots awaiting compaction
 	proc      *graph.Processing
 	env       map[string]interface{}
 	burst     int
@@ -75,7 +77,6 @@ func Build(g *graph.Router, reg *Registry, opts BuildOptions) (*Router, error) {
 		Graph:    g,
 		Registry: reg,
 		CPU:      opts.CPU,
-		byName:   map[string]Element{},
 		proc:     proc,
 		env:      opts.Env,
 		burst:    opts.Burst,
@@ -114,7 +115,6 @@ func Build(g *graph.Router, reg *Registry, opts BuildOptions) (*Router, error) {
 		}
 		specs[i] = spec
 		rt.elements[i] = e
-		rt.byName[ge.Name] = e
 	}
 
 	// Wire connections. A push connection binds the source's output
@@ -273,7 +273,12 @@ func BuildFromText(config, file string, reg *Registry, opts BuildOptions) (*Rout
 }
 
 // Find returns the element with the given configuration name, or nil.
-func (rt *Router) Find(name string) Element { return rt.byName[name] }
+func (rt *Router) Find(name string) Element {
+	if i := rt.Graph.FindElement(name); i >= 0 {
+		return rt.elements[i]
+	}
+	return nil
+}
 
 // Elements returns the router's elements in graph order.
 func (rt *Router) Elements() []Element { return rt.elements }

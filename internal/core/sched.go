@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 )
 
@@ -50,29 +49,29 @@ func (s *Scheduler) Router() *Router { return s.rt }
 // SyncDo); the method must not re-enter SyncDo.
 func (s *Scheduler) SpliceTenant(sub *Router) error { return s.rt.Splice(sub) }
 
-// RemoveTenant removes every element under the given name prefix from
-// the running router, returning the removed elements so the caller can
+// RemoveTenant takes a spliced subrouter back out of the running
+// router (Router.Remove), returning its elements so the caller can
 // release external resources. Same quiescent-point contract as
 // SpliceTenant.
-func (s *Scheduler) RemoveTenant(prefix string) []Element { return s.rt.RemoveByPrefix(prefix) }
+func (s *Scheduler) RemoveTenant(sub *Router) []Element { return s.rt.Remove(sub) }
 
-// SwapTenant replaces the subgraph under prefix with sub, transplanting
+// SwapTenant replaces the spliced subrouter old with sub, transplanting
 // state between same-named elements with the full hot-swap's own
 // routine (Router.Hotswap, which adopts the outgoing tenant's guard
-// generations). Sub's element names must all lie under prefix
-// or at least not collide with surviving elements; the check runs
-// before any mutation. Same quiescent-point contract as SpliceTenant.
-func (s *Scheduler) SwapTenant(prefix string, sub *Router) ([]Element, error) {
-	for name := range sub.byName {
-		if _, clash := s.rt.byName[name]; clash && !strings.HasPrefix(name, prefix) {
-			return nil, fmt.Errorf("core: swap: element %q collides outside prefix %q", name, prefix)
+// generations). Sub's element names may reuse old's but must not
+// collide with any other element; the check runs before any mutation.
+// Same quiescent-point contract as SpliceTenant.
+func (s *Scheduler) SwapTenant(old, sub *Router) ([]Element, error) {
+	for _, ge := range sub.Graph.Elements {
+		if e := s.rt.Find(ge.Name); e != nil && old.Find(ge.Name) != e {
+			return nil, fmt.Errorf("core: swap: element %q collides outside the swapped subrouter", ge.Name)
 		}
 	}
 	if err := s.rt.Hotswap(sub); err != nil {
 		return nil, err
 	}
-	removed := s.RemoveTenant(prefix)
-	return removed, s.SpliceTenant(sub)
+	removed := s.rt.Remove(old)
+	return removed, s.rt.Splice(sub)
 }
 
 // Hotswap replaces the scheduled router with next at a quiescent

@@ -7,7 +7,7 @@ import (
 
 // Incremental splice/remove/swap at the core layer, driven with the
 // test registry's task elements. Tenant namespaces are emulated with
-// name prefixes ("a_", "b_"), which is all RemoveByPrefix needs.
+// name prefixes ("a_", "b_"); removal takes the spliced subrouter.
 
 func spliceTestRouter(t *testing.T, cfg string) *Router {
 	t.Helper()
@@ -64,17 +64,20 @@ func TestIncrementalSpliceRunsNewTenant(t *testing.T) {
 	}
 }
 
-func TestIncrementalRemoveByPrefixFreesNamespace(t *testing.T) {
-	rt := spliceTestRouter(t, "a_src :: TTask -> a_s :: TSink;")
+func TestIncrementalRemoveFreesNamespace(t *testing.T) {
+	rt := spliceTestRouter(t, "x_src :: TTask -> x_s :: TSink;")
 	s := NewScheduler(rt)
+	subA := spliceTestRouter(t, "a_src :: TTask -> a_s :: TSink;")
 	s.SyncDo(func() {
-		if err := s.SpliceTenant(spliceTestRouter(t, "b_src :: TTask -> b_s :: TSink;")); err != nil {
-			t.Errorf("splice: %v", err)
+		for _, sub := range []*Router{subA, spliceTestRouter(t, "b_src :: TTask -> b_s :: TSink;")} {
+			if err := s.SpliceTenant(sub); err != nil {
+				t.Errorf("splice: %v", err)
+			}
 		}
 	})
 
 	var removed []Element
-	s.SyncDo(func() { removed = s.RemoveTenant("a_") })
+	s.SyncDo(func() { removed = s.RemoveTenant(subA) })
 	if len(removed) != 2 {
 		t.Fatalf("removed %d elements, want 2", len(removed))
 	}
@@ -126,7 +129,7 @@ func TestIncrementalSwapAdoptsGuards(t *testing.T) {
 
 	subA2 := spliceTestRouter(t, "a_src :: TTask -> a_s :: TSink;")
 	s.SyncDo(func() {
-		if _, err := s.SwapTenant("a_", subA2); err != nil {
+		if _, err := s.SwapTenant(subA, subA2); err != nil {
 			t.Errorf("swap: %v", err)
 		}
 	})
@@ -145,23 +148,27 @@ func TestIncrementalChurnCompactsGraph(t *testing.T) {
 	s := NewScheduler(rt)
 	high := 0
 	for round := 0; round < 32; round++ {
+		sub := spliceTestRouter(t, "churn_src :: TTask -> churn_s :: TSink;")
 		s.SyncDo(func() {
-			if err := s.SpliceTenant(spliceTestRouter(t, "churn_src :: TTask -> churn_s :: TSink;")); err != nil {
+			if err := s.SpliceTenant(sub); err != nil {
 				t.Errorf("round %d splice: %v", round, err)
 			}
 		})
 		for s.RunUntilIdle(1024) > 0 {
 		}
-		s.SyncDo(func() { s.RemoveTenant("churn_") })
-		if n := len(rt.Graph.Elements); n > high {
+		s.SyncDo(func() { s.RemoveTenant(sub) })
+		if n := max(len(rt.Graph.Elements), len(rt.elements), 2*len(rt.tasks)); n > high {
 			high = n
 		}
 	}
 	// Dead slots must be reclaimed, not accumulated: 32 churn cycles of
-	// a 2-element tenant may never grow the slot table past a small
-	// multiple of the live set.
+	// a 2-element tenant may never grow the slot or task tables past a
+	// small multiple of the live set.
 	if high > 12 {
 		t.Errorf("graph slots peaked at %d during churn, want compaction to bound it", high)
+	}
+	if len(rt.tasks) != len(rt.weights) || len(rt.tasks) != len(rt.taskElems) {
+		t.Fatalf("task tables out of step: %d tasks, %d weights, %d element indices", len(rt.tasks), len(rt.weights), len(rt.taskElems))
 	}
 	for s.RunUntilIdle(1024) > 0 {
 	}

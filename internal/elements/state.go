@@ -184,6 +184,24 @@ func (e *Counter) RestoreState(state interface{}) error {
 	return nil
 }
 
+// DiscardState is a Discard's transferable state.
+type DiscardState struct{ Count int64 }
+
+// SaveState hands the count over.
+func (e *Discard) SaveState() interface{} {
+	return &DiscardState{Count: atomic.LoadInt64(&e.Count)}
+}
+
+// RestoreState adopts the count.
+func (e *Discard) RestoreState(state interface{}) error {
+	st, ok := state.(*DiscardState)
+	if !ok {
+		return fmt.Errorf("Discard: foreign state %T", state)
+	}
+	atomic.StoreInt64(&e.Count, st.Count)
+	return nil
+}
+
 // SwitchState is a Switch's transferable state: its live port setting.
 type SwitchState struct{ Port int }
 

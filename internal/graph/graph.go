@@ -42,7 +42,9 @@ type Router struct {
 	// configuration needs, e.g. names of generated element packages).
 	Requirements []string
 	// Archive holds extra files bundled with the configuration —
-	// generated source code from tools like click-fastclassifier.
+	// generated source code from tools like click-fastclassifier. A
+	// stored value is immutable: writers replace it, never edit it in
+	// place, so clones share the bytes.
 	Archive map[string][]byte
 	// AnonCounter numbers anonymous elements (Class@1, Class@2...).
 	AnonCounter int
@@ -134,6 +136,10 @@ func (r *Router) NumElements() int {
 	return n
 }
 
+// NumNames returns the size of the name index FindElement reads: one
+// entry per live element.
+func (r *Router) NumNames() int { return len(r.byName) }
+
 // Element returns the element with the given index.
 func (r *Router) Element(i int) *Element { return r.Elements[i] }
 
@@ -170,13 +176,14 @@ func (r *Router) MustAddElement(name, class, config, landmark string) int {
 	return idx
 }
 
-// FindElement returns the index of the named live element, or -1.
+// FindElement returns the index of the named live element, or -1. The
+// name index holds live elements only (RemoveElement drops the name),
+// so the lookup never reads the element itself.
 func (r *Router) FindElement(name string) int {
-	idx, ok := r.byName[name]
-	if !ok || r.Elements[idx].dead {
-		return -1
+	if idx, ok := r.byName[name]; ok {
+		return idx
 	}
-	return idx
+	return -1
 }
 
 // Connect adds a connection. Duplicate connections are ignored (Click
@@ -243,75 +250,6 @@ func (r *Router) RemoveElement(i int) {
 		}
 		a.out[i], a.in[i] = nil, nil
 	}
-}
-
-// RemoveElements marks every listed element dead in one pass: names are
-// dropped from the index and the connection list is filtered once,
-// instead of once per element as repeated RemoveElement calls would.
-// This is the bulk operation incremental installs use when a whole
-// name-prefixed subgraph (a management-plane tenant) leaves the router.
-func (r *Router) RemoveElements(idx []int) {
-	dead := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		e := r.Elements[i]
-		if e.dead {
-			continue
-		}
-		e.dead = true
-		delete(r.byName, e.Name)
-		dead[i] = true
-	}
-	if len(dead) == 0 {
-		return
-	}
-	r.index = nil
-	kept := r.Conns[:0]
-	for _, c := range r.Conns {
-		if !dead[c.From] && !dead[c.To] {
-			kept = append(kept, c)
-		}
-	}
-	r.Conns = kept
-}
-
-// AppendFrom bulk-appends another graph's live elements and connections
-// to r, returning the index remap (sub index -> new index in r, -1 for
-// dead entries). Element names must not collide with r's — the caller
-// splices disjoint namespaces (e.g. "tenant/"-prefixed subgraphs) — and
-// the whole append is rejected before any mutation if one does. Unlike
-// per-element AddElement+Connect loops this never scans the existing
-// connection list: disjoint namespaces cannot introduce duplicates.
-func (r *Router) AppendFrom(sub *Router) ([]int, error) {
-	for _, e := range sub.Elements {
-		if e.dead {
-			continue
-		}
-		if _, exists := r.byName[e.Name]; exists {
-			return nil, fmt.Errorf("graph: splice collision on element %q", e.Name)
-		}
-	}
-	remap := make([]int, len(sub.Elements))
-	for i, e := range sub.Elements {
-		if e.dead {
-			remap[i] = -1
-			continue
-		}
-		cp := *e
-		remap[i] = len(r.Elements)
-		r.Elements = append(r.Elements, &cp)
-		r.byName[cp.Name] = remap[i]
-	}
-	r.index = nil
-	for _, c := range sub.Conns {
-		if remap[c.From] < 0 || remap[c.To] < 0 {
-			continue
-		}
-		r.Conns = append(r.Conns, Connection{From: remap[c.From], FromPort: c.FromPort, To: remap[c.To], ToPort: c.ToPort})
-	}
-	for _, req := range sub.Requirements {
-		r.Require(req)
-	}
-	return remap, nil
 }
 
 // RemoveAndSplice removes element i, splicing each input connection on
@@ -456,7 +394,8 @@ func (r *Router) SortConns() {
 	})
 }
 
-// Clone returns a deep copy of the router graph.
+// Clone returns a copy of the router graph that shares nothing mutable
+// with r: the archive's values are immutable, so they are shared.
 func (r *Router) Clone() *Router {
 	n := New()
 	n.Elements = make([]*Element, len(r.Elements))
@@ -471,7 +410,7 @@ func (r *Router) Clone() *Router {
 	n.Requirements = append([]string(nil), r.Requirements...)
 	n.AnonCounter = r.AnonCounter
 	for k, v := range r.Archive {
-		n.Archive[k] = append([]byte(nil), v...)
+		n.Archive[k] = v
 	}
 	return n
 }

@@ -155,6 +155,10 @@ func TestClone(t *testing.T) {
 	if string(cp.Archive["gen.go"]) != "x" {
 		t.Error("archive not cloned")
 	}
+	cp.Archive["gen.go"] = []byte("y")
+	if string(r.Archive["gen.go"]) != "x" {
+		t.Error("clone archive write affected original")
+	}
 }
 
 func TestRename(t *testing.T) {

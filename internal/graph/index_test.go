@@ -164,24 +164,21 @@ func graphEdits(data []byte) error {
 			}
 			what = fmt.Sprintf("RemoveElement(%d)", i)
 		case 4:
-			idx := []int{pick(), pick()}
-			if idx[0] >= 0 {
-				r.RemoveElements(idx)
+			i, j := pick(), pick()
+			if i >= 0 {
+				r.RemoveElement(i)
+				r.RemoveElement(j)
 			}
-			what = fmt.Sprintf("RemoveElements(%v)", idx)
+			what = fmt.Sprintf("RemoveElement(%d), RemoveElement(%d)", i, j)
 		case 5:
-			sub := New()
-			a := sub.MustAddElement(fmt.Sprintf("sub%d/a", subs), "E", "", "")
-			b := sub.MustAddElement(fmt.Sprintf("sub%d/b", subs), "E", "", "")
-			sub.Connect(a, next()%editPorts, b, 0)
-			sub.Connect(b, 0, a, next()%editPorts)
-			subs++
 			if len(r.Elements) < 16 {
-				if _, err := r.AppendFrom(sub); err != nil {
-					return err
-				}
+				a := r.MustAddElement(fmt.Sprintf("sub%d/a", subs), "E", "", "")
+				b := r.MustAddElement(fmt.Sprintf("sub%d/b", subs), "E", "", "")
+				r.Connect(a, next()%editPorts, b, 0)
+				r.Connect(b, 0, a, next()%editPorts)
 			}
-			what = "AppendFrom"
+			subs++
+			what = "AddElement pair"
 		case 6:
 			i := pick()
 			if i >= 0 {

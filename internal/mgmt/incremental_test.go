@@ -160,10 +160,9 @@ func TestIncrementalOpStatsAndCache(t *testing.T) {
 
 // TestIncrementalLifecycleCounts runs a create/swap/delete/create
 // lifecycle and pins the surviving tenants' delivered counts. The
-// swapped-in source resumes from the 50 packets a already emitted, so
-// a's new Discard counts only the 40 beyond them; a deleted neighbour
-// b leaves no trace on c. A plane rebuilt from scratch at every
-// operation delivered the same counts.
+// swapped-in source resumes from the 50 packets a already emitted and
+// a's Discard carries its 50 across the swap, so it reads 50 + the 40
+// beyond them; a deleted neighbour b leaves no trace on c.
 func TestIncrementalLifecycleCounts(t *testing.T) {
 	p, err := NewPlane(Options{})
 	if err != nil {
@@ -180,8 +179,8 @@ func TestIncrementalLifecycleCounts(t *testing.T) {
 	}
 	mustCreate(t, p, "c", tenantConfig(30, 16))
 	drain(p)
-	if a, c := readInt(t, p, "a", "d", "count"), readInt(t, p, "c", "d", "count"); a != 40 || c != 30 {
-		t.Errorf("delivered a=%d c=%d, want 40/30", a, c)
+	if a, c := readInt(t, p, "a", "d", "count"), readInt(t, p, "c", "d", "count"); a != 90 || c != 30 {
+		t.Errorf("delivered a=%d c=%d, want 90/30", a, c)
 	}
 }
 

@@ -61,21 +61,24 @@ func ParseLink(s string) (Link, error) {
 // combine manifest is stored in the archive for Uncombine.
 func Combine(routers []RouterInput, links []Link) (*graph.Router, error) {
 	out := graph.New()
-	elemOf := map[string]int{} // "router/name" -> index
 	for _, r := range routers {
 		if strings.ContainsAny(r.Name, "/. \t") || r.Name == "" {
 			return nil, fmt.Errorf("opt: bad router name %q", r.Name)
 		}
-		g := r.Config.Clone()
-		g.Compact()
+		// Read the input in place: dead elements are skipped through
+		// the remap (no connection touches one), so the output matches
+		// combining a compacted clone.
+		g := r.Config
 		remap := make([]int, len(g.Elements))
 		for i, e := range g.Elements {
+			if g.Dead(i) {
+				continue
+			}
 			idx, err := out.AddElement(r.Name+"/"+e.Name, e.Class, e.Config, e.Landmark)
 			if err != nil {
 				return nil, err
 			}
 			remap[i] = idx
-			elemOf[r.Name+"/"+e.Name] = idx
 		}
 		for _, c := range g.Conns {
 			out.Connect(remap[c.From], c.FromPort, remap[c.To], c.ToPort)
