@@ -1,16 +1,20 @@
 package core
 
-import "repro/internal/packet"
+import (
+	"fmt"
+
+	"repro/internal/packet"
+)
 
 // The batch transfer path amortizes inter-element dispatch over several
 // packets, the modern analogue of the paper's transfer-cost
 // optimizations: where click-devirtualize removes the indirection of
-// one virtual call, batching removes all but one of N of them. Every
-// SimpleAction element takes batches through the transfers derived
-// below; an element that writes its own Push or Pull takes them only if
-// it also writes PushBatch or PullBatch, and otherwise receives a batch
-// one packet at a time through the scalar path, so the two kinds mix
-// freely in one configuration.
+// one virtual call, batching removes all but one of N of them. A burst
+// is the only transfer an element implements: SimpleAction elements
+// take theirs through the transfers derived below, every other element
+// writes PushBatch for its push inputs and PullBatch for its pull
+// outputs, and a scalar Push or Pull is a burst of one (Base.Push,
+// Base.Pull).
 
 // BatchPusher is implemented by elements whose push inputs accept a
 // batch of packets in one call. The callee takes ownership of the
@@ -29,13 +33,26 @@ type BatchPuller interface {
 	PullBatch(port int, buf []*packet.Packet) int
 }
 
-// derivedBatch is the BatchPusher and BatchPuller Build binds to the
-// ports facing a SimpleAction element.
+// noTransfer is the burst transfer of a direction an element has no
+// ports of: a packet that arrives there panics, naming the element.
+type noTransfer struct{ b *Base }
+
+func (n noTransfer) PushBatch(int, []*packet.Packet) {
+	panic(fmt.Sprintf("element %q (%s): Push on non-push element", n.b.name, n.b.class))
+}
+
+func (n noTransfer) PullBatch(int, []*packet.Packet) int {
+	panic(fmt.Sprintf("element %q (%s): Pull on non-pull element", n.b.name, n.b.class))
+}
+
+// derivedBatch is the BatchPusher and BatchPuller of a SimpleAction
+// element.
 type derivedBatch struct{ b *Base }
 
 // PushBatch runs the action over the batch, compacting survivors in
 // place, and forwards them as one batch on output 0; packets the action
-// disposes of leave on its scalar paths as they are found.
+// disposes of are dropped or pushed to a secondary output as they are
+// found.
 func (d derivedBatch) PushBatch(port int, ps []*packet.Packet) {
 	b, k := d.b, 0
 	for _, p := range ps {
@@ -51,8 +68,10 @@ func (d derivedBatch) PushBatch(port int, ps []*packet.Packet) {
 }
 
 // PullBatch pulls a batch from input 0 and runs the action over it,
-// compacting survivors. Like the derived Pull it returns 0 only when
-// upstream delivered nothing.
+// compacting survivors, charging Work only for packets upstream
+// delivered. A batch the action disposes of entirely is followed by
+// another pull, so 0 still means upstream had nothing — the meaning
+// tasks rely on to stop.
 func (d derivedBatch) PullBatch(port int, buf []*packet.Packet) int {
 	b := d.b
 	for {
@@ -70,24 +89,8 @@ func (d derivedBatch) PullBatch(port int, buf []*packet.Packet) int {
 	}
 }
 
-// PushBatch transfers a batch of packets downstream. When the target
-// takes batches (a SimpleAction element, or one that writes PushBatch),
-// the whole batch crosses in a single (charged) dispatch; otherwise
-// each packet takes the scalar Push path, with its usual per-packet
-// dispatch charge.
-func (p *OutPort) PushBatch(pkts []*packet.Packet) {
-	switch {
-	case len(pkts) == 0:
-		return
-	case len(pkts) == 1:
-		p.Push(pkts[0])
-		return
-	case p.batch == nil:
-		for _, pk := range pkts {
-			p.Push(pk)
-		}
-		return
-	}
+// pushBurst is OutPort.PushBatch for more than one packet.
+func (p *OutPort) pushBurst(pkts []*packet.Packet) {
 	if p.cpu != nil {
 		if p.direct != nil {
 			p.cpu.DirectCall()
@@ -108,29 +111,21 @@ func (p *OutPort) PushBatch(pkts []*packet.Packet) {
 		p.owner.stats.addOut(n, bytes)
 		p.peer.stats.addIn(n, bytes)
 	}
-	p.batch.PushBatch(p.targetPort, pkts)
+	p.peer.pusher.PushBatch(p.targetPort, pkts)
 }
 
-// PullBatch requests up to len(buf) packets from upstream, returning
-// the number delivered. When the source hands out batches (a
-// SimpleAction element, or one that writes PullBatch) the batch crosses
-// in a single (charged) dispatch; otherwise packets are pulled one at a
-// time through the scalar path.
+// PullBatch requests up to len(buf) packets from upstream in a single
+// (charged) dispatch, returning the number delivered. A batch of one
+// takes the scalar path, as in PushBatch.
 func (p *InPort) PullBatch(buf []*packet.Packet) int {
-	if len(buf) == 0 {
+	switch len(buf) {
+	case 0:
 		return 0
-	}
-	if p.batch == nil {
-		n := 0
-		for n < len(buf) {
-			pk := p.Pull()
-			if pk == nil {
-				break
-			}
-			buf[n] = pk
-			n++
+	case 1:
+		if buf[0] = p.Pull(); buf[0] == nil {
+			return 0
 		}
-		return n
+		return 1
 	}
 	if p.cpu != nil {
 		if p.direct != nil {
@@ -139,7 +134,7 @@ func (p *InPort) PullBatch(buf []*packet.Packet) int {
 			p.cpu.IndirectCall(p.site, p.targetID)
 		}
 	}
-	n := p.batch.PullBatch(p.sourcePort, buf)
+	n := p.peer.puller.PullBatch(p.sourcePort, buf)
 	if p.cpu != nil && n > 0 {
 		p.cpu.BatchTransfer(n)
 	}

@@ -17,23 +17,25 @@ type tSink struct {
 	got []*packet.Packet
 }
 
-func (s *tSink) Push(port int, p *packet.Packet) { s.got = append(s.got, p) }
+func (s *tSink) PushBatch(port int, ps []*packet.Packet) { s.got = append(s.got, ps...) }
 
 type tPass struct {
 	Base
 	calls int
 }
 
-func (e *tPass) Push(port int, p *packet.Packet) {
-	e.Work()
-	e.calls++
-	e.Output(0).Push(p)
+func (e *tPass) PushBatch(port int, ps []*packet.Packet) {
+	for _, p := range ps {
+		e.Work()
+		e.calls++
+		e.Output(0).Push(p)
+	}
 }
 
-// Pull forwards pulls upstream (agnostic element in a pull context).
-func (e *tPass) Pull(port int) *packet.Packet {
+// PullBatch forwards pulls upstream (agnostic element in a pull context).
+func (e *tPass) PullBatch(port int, buf []*packet.Packet) int {
 	e.Work()
-	return e.Input(0).Pull()
+	return e.Input(0).PullBatch(buf)
 }
 
 // tPullSink terminates a pull chain; tests pull via its input port.
@@ -44,14 +46,11 @@ type tPuller struct {
 	queue []*packet.Packet
 }
 
-func (e *tPuller) Push(port int, p *packet.Packet) { e.queue = append(e.queue, p) }
-func (e *tPuller) Pull(port int) *packet.Packet {
-	if len(e.queue) == 0 {
-		return nil
-	}
-	p := e.queue[0]
-	e.queue = e.queue[1:]
-	return p
+func (e *tPuller) PushBatch(port int, ps []*packet.Packet) { e.queue = append(e.queue, ps...) }
+func (e *tPuller) PullBatch(port int, buf []*packet.Packet) int {
+	n := copy(buf, e.queue)
+	e.queue = e.queue[n:]
+	return n
 }
 
 type tTask struct {
@@ -91,7 +90,13 @@ func (e *tInit) Initialize(rt *Router) error {
 	return nil
 }
 
-func (e *tInit) Push(port int, p *packet.Packet) { p.Kill() }
+func (e *tInit) PushBatch(port int, ps []*packet.Packet) { killAll(ps) }
+
+func killAll(ps []*packet.Packet) {
+	for _, p := range ps {
+		p.Kill()
+	}
+}
 
 func testRegistry() *Registry {
 	reg := NewRegistry()
@@ -347,8 +352,8 @@ type tCloser struct {
 	closed bool
 }
 
-func (e *tCloser) Push(port int, p *packet.Packet) { p.Kill() }
-func (e *tCloser) Close() error                    { e.closed = true; return nil }
+func (e *tCloser) PushBatch(port int, ps []*packet.Packet) { killAll(ps) }
+func (e *tCloser) Close() error                            { e.closed = true; return nil }
 
 func TestRouterClose(t *testing.T) {
 	reg := testRegistry()

@@ -15,12 +15,13 @@ import (
 // Element is a packet-processing component. Implementations embed Base
 // and are written one of two ways. An element with one input whose
 // packets continue on output 0 implements SimpleAction and nothing
-// else: Base derives Push, Pull and both batch transfers from it, so the
-// class works in push and in pull context. An element with several
-// inputs, or one that chooses among outputs or emits several packets on
-// output 0, overrides Push and/or Pull according to its processing code
-// (and may add PushBatch/PullBatch). Build rejects a class that does
-// both.
+// else: Base derives both burst transfers from it, so the class works in
+// push and in pull context. Any other element (several inputs, a choice
+// among outputs, several packets out per packet in) writes one burst
+// transfer per direction: PushBatch for its push inputs, PullBatch for
+// its pull outputs. Build rejects a class that writes both kinds. No
+// class writes Push or Pull: Base's are the only scalar entry points,
+// and they run a burst of one.
 type Element interface {
 	// Configure parses the element's configuration arguments. It runs
 	// before ports are wired.
@@ -84,6 +85,14 @@ type Base struct {
 	// action is the element itself when it implements SimpleAction (set
 	// by Build), nil for elements that write their own transfers.
 	action SimpleAction
+	// pusher and puller are the element's burst transfers (set by
+	// Build): derivedBatch for a SimpleAction element, otherwise the
+	// element itself if it writes PushBatch or PullBatch, else noTransfer.
+	pusher BatchPusher
+	puller BatchPuller
+	// one is the burst of one that Push and Pull run. It cannot live on
+	// their stacks, because it escapes through the interface call.
+	one [1]*packet.Packet
 }
 
 func (b *Base) base() *Base { return b }
@@ -121,8 +130,9 @@ func (b *Base) DefaultBurst() int {
 }
 
 // Work charges the element's per-invocation cost to the cost model.
-// Hand-written Push/Pull implementations call it once per handled
-// packet; the derived transfers call it for SimpleAction elements.
+// Hand-written PushBatch/PullBatch implementations call it once per
+// handled packet; the derived transfers call it for SimpleAction
+// elements.
 func (b *Base) Work() {
 	b.stats.addCycles(b.workCycles)
 	if b.cpu != nil {
@@ -190,40 +200,32 @@ func (b *Base) MemFetch(n int) {
 	}
 }
 
-// Push is the push transfer of every element that does not write its
-// own. For a SimpleAction element it is derived: charge Work, run the
-// action, forward the survivor on output 0 (ports do the same without
-// coming through here). For any other element, reaching it means a push
-// arrived at a class with no push input.
+// Push is the scalar push transfer: it runs p through the element's
+// PushBatch as a burst of one. Direct bindings and callers holding an
+// Element call it; OutPort.PushBatch runs the same lines itself. The
+// slot is saved and restored around the call, so a push cycle that
+// re-enters this element (Figure 1's ICMPError -> rt loop) leaves the
+// outer burst intact for an element that reads it again after pushing
+// downstream (Tee).
 func (b *Base) Push(port int, p *packet.Packet) {
-	if b.action == nil {
-		panic(fmt.Sprintf("element %q (%s): Push on non-push element", b.name, b.class))
-	}
-	b.Work()
-	if p = b.action.SimpleAction(p); p != nil {
-		b.outputs[0].Push(p)
-	}
+	saved := b.one[0]
+	b.one[0] = p
+	b.pusher.PushBatch(port, b.one[:])
+	b.one[0] = saved
 }
 
-// Pull is the pull transfer of every element that does not write its
-// own. For a SimpleAction element it is derived: pull from input 0 and
-// run the action, charging Work only for a packet upstream delivered.
-// A packet the action disposes of is followed by another pull, so nil
-// still means upstream had nothing — the meaning tasks rely on to stop.
+// Pull is the scalar pull transfer: it asks the element's PullBatch for
+// a burst of one; nil means the element had nothing. Direct bindings
+// and callers holding an Element call it; InPort.Pull asks the same way
+// through a slot of its own.
 func (b *Base) Pull(port int) *packet.Packet {
-	if b.action == nil {
-		panic(fmt.Sprintf("element %q (%s): Pull on non-pull element", b.name, b.class))
+	saved := b.one[0]
+	var p *packet.Packet
+	if b.puller.PullBatch(port, b.one[:]) > 0 {
+		p = b.one[0]
 	}
-	for {
-		p := b.inputs[0].Pull()
-		if p == nil {
-			return nil
-		}
-		b.Work()
-		if p = b.action.SimpleAction(p); p != nil {
-			return p
-		}
-	}
+	b.one[0] = saved
+	return p
 }
 
 // Configure is the default implementation for elements that take no
@@ -241,16 +243,16 @@ type PushFunc func(port int, p *packet.Packet)
 // PullFunc is a direct-bound pull handler.
 type PullFunc func(port int) *packet.Packet
 
-// OutPort is an element output port. In virtual mode, PushTo dispatches
-// through the Element interface — Go's analogue of the C++ virtual call
-// the paper measures; the cost model charges an indirect call through
-// the simulated BTB. When the configuration was devirtualized, direct
-// holds a bound handler and the model charges a conventional call.
+// OutPort is an element output port. In virtual mode, Push dispatches
+// through an interface — the target's SimpleAction or burst transfer,
+// Go's analogue of the C++ virtual call the paper measures; the cost
+// model charges an indirect call through the simulated BTB. When the
+// configuration was devirtualized, direct holds a bound handler and the
+// model charges a conventional call.
 type OutPort struct {
 	target     Element
 	targetPort int
 	direct     PushFunc
-	batch      BatchPusher
 	cpu        *simcpu.CPU
 	site       simcpu.SiteID
 	targetID   simcpu.TargetID
@@ -261,6 +263,10 @@ type OutPort struct {
 	owner  *Base
 	peer   *Base
 	tracer *Tracer
+	// one is the burst of one Push hands PushBatch, which reads it before
+	// anything can push on this port again, so unlike Base's it needs no
+	// restore.
+	one [1]*packet.Packet
 }
 
 // Connected reports whether the port was wired.
@@ -269,12 +275,32 @@ func (p *OutPort) Connected() bool { return p.connected }
 // Target returns the downstream element and port.
 func (p *OutPort) Target() (Element, int) { return p.target, p.targetPort }
 
-// Push transfers a packet downstream. A SimpleAction target is run right
-// here — its action is the only dynamic call of the hop — and the loop
-// carries the survivor on to that element's output 0, so a chain of
-// simple elements costs neither an interface dispatch into Base.Push nor
-// a stack frame per hop.
+// Push transfers a packet downstream as a burst of one.
 func (p *OutPort) Push(pkt *packet.Packet) {
+	p.one[0] = pkt
+	p.PushBatch(p.one[:])
+}
+
+// PushBatch transfers a burst of packets downstream. A burst of more
+// than one crosses in a single (charged) dispatch. A burst of one takes
+// the scalar path, which charges per hop: a SimpleAction target is run
+// right here — its action is the only dynamic call of the hop — and the
+// loop carries the survivor on to that element's output 0, so a chain
+// of simple elements costs no stack frame per hop; any other target
+// takes the packet as a burst of one, as Base.Push runs it. Push and the
+// scalar path live in this one function because the scalar path nests
+// every hop inside the previous one, and on a call chain that deep each
+// extra frame costs a mispredicted return.
+func (p *OutPort) PushBatch(pkts []*packet.Packet) {
+	switch len(pkts) {
+	case 0:
+		return
+	case 1:
+	default:
+		p.pushBurst(pkts)
+		return
+	}
+	pkt := pkts[0]
 	for {
 		if p.cpu != nil {
 			if p.direct != nil {
@@ -305,7 +331,12 @@ func (p *OutPort) Push(pkt *packet.Packet) {
 		p.direct(p.targetPort, pkt)
 		return
 	}
-	p.target.Push(p.targetPort, pkt)
+	// Base.Push, written out to save its frame.
+	b := p.peer
+	saved := b.one[0]
+	b.one[0] = pkt
+	b.pusher.PushBatch(p.targetPort, b.one[:])
+	b.one[0] = saved
 }
 
 // InPort is an element input port; for pull inputs it references the
@@ -314,7 +345,6 @@ type InPort struct {
 	source     Element
 	sourcePort int
 	direct     PullFunc
-	batch      BatchPuller
 	cpu        *simcpu.CPU
 	site       simcpu.SiteID
 	targetID   simcpu.TargetID
@@ -325,6 +355,10 @@ type InPort struct {
 	owner  *Base
 	peer   *Base
 	tracer *Tracer
+	// one is the burst of one Pull asks the source for. A pull cannot
+	// reach its own port again before it returns, so unlike Base's it
+	// needs no save and restore.
+	one [1]*packet.Packet
 }
 
 // Connected reports whether the port was wired.
@@ -343,13 +377,10 @@ func (p *InPort) Pull() *packet.Packet {
 		}
 	}
 	var pkt *packet.Packet
-	switch {
-	case p.peer.action != nil:
-		pkt = p.peer.Pull(p.sourcePort)
-	case p.direct != nil:
+	if p.direct != nil {
 		pkt = p.direct(p.sourcePort)
-	default:
-		pkt = p.source.Pull(p.sourcePort)
+	} else if p.peer.puller.PullBatch(p.sourcePort, p.one[:]) > 0 {
+		pkt = p.one[0]
 	}
 	if pkt != nil && p.owner != nil {
 		n := int64(pkt.Len())

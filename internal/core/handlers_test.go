@@ -17,7 +17,7 @@ type tHandlerElem struct {
 	fake  int64
 }
 
-func (e *tHandlerElem) Push(port int, p *packet.Packet) { p.Kill() }
+func (e *tHandlerElem) PushBatch(port int, ps []*packet.Packet) { killAll(ps) }
 
 func (e *tHandlerElem) Handlers() []Handler {
 	return []Handler{

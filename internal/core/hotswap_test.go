@@ -23,10 +23,12 @@ type tCarrier struct {
 
 type tCarrierState struct{ Val int }
 
-func (e *tCarrier) Push(port int, p *packet.Packet) {
-	e.Work()
-	e.val++
-	e.Output(0).Push(p)
+func (e *tCarrier) PushBatch(port int, ps []*packet.Packet) {
+	for _, p := range ps {
+		e.Work()
+		e.val++
+		e.Output(0).Push(p)
+	}
 }
 
 func (e *tCarrier) SaveState() interface{} {

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/lang"
@@ -107,11 +104,26 @@ func Build(g *graph.Router, reg *Registry, opts BuildOptions) (*Router, error) {
 		if err := e.Configure(lang.SplitConfig(ge.Config)); err != nil {
 			return nil, fmt.Errorf("core: %s (%q at %s): %v", ge.Class, ge.Name, ge.Landmark, err)
 		}
+		b.pusher, _ = e.(BatchPusher)
+		b.puller, _ = e.(BatchPuller)
 		if a, ok := e.(SimpleAction); ok {
-			if m := ownTransfer(e); m != "" {
-				return nil, fmt.Errorf("core: %s (%q): implements SimpleAction and its own %s; write one", ge.Class, ge.Name, m)
+			own := ""
+			if b.pusher != nil {
+				own = "PushBatch"
+			} else if b.puller != nil {
+				own = "PullBatch"
+			}
+			if own != "" {
+				return nil, fmt.Errorf("core: %s (%q): implements SimpleAction and its own %s; write one", ge.Class, ge.Name, own)
 			}
 			b.action = a
+			b.pusher, b.puller = derivedBatch{b}, derivedBatch{b}
+		}
+		if b.pusher == nil {
+			b.pusher = noTransfer{b}
+		}
+		if b.puller == nil {
+			b.puller = noTransfer{b}
 		}
 		specs[i] = spec
 		rt.elements[i] = e
@@ -146,11 +158,6 @@ func Build(g *graph.Router, reg *Registry, opts BuildOptions) (*Router, error) {
 			if specs[c.From].Devirtualized {
 				out.direct = dst.Push
 			}
-			if out.peer.action != nil {
-				out.batch = derivedBatch{out.peer}
-			} else if bp, ok := dst.(BatchPusher); ok {
-				out.batch = bp
-			}
 		} else {
 			in.source = src
 			in.sourcePort = c.FromPort
@@ -161,11 +168,6 @@ func Build(g *graph.Router, reg *Registry, opts BuildOptions) (*Router, error) {
 			in.targetID = sites.Target(srcClass)
 			if specs[c.To].Devirtualized {
 				in.direct = src.Pull
-			}
-			if in.peer.action != nil {
-				in.batch = derivedBatch{in.peer}
-			} else if bp, ok := src.(BatchPuller); ok {
-				in.batch = bp
 			}
 		}
 	}
@@ -204,64 +206,6 @@ func Build(g *graph.Router, reg *Registry, opts BuildOptions) (*Router, error) {
 	}
 	return rt, nil
 }
-
-// ownTransfer names a transfer method e's class writes itself, or ""
-// when it inherits Push and Pull from Base and has no batch methods. It
-// is a fact about the type that takes a walk of the symbol table to
-// establish, so it is remembered per type.
-func ownTransfer(e Element) string {
-	t := reflect.TypeOf(e)
-	if own, ok := ownTransfers.Load(t); ok {
-		return own.(string)
-	}
-	own := ""
-	if push, pull := declares(t); push {
-		own = "Push"
-	} else if pull {
-		own = "Pull"
-	} else if _, ok := e.(BatchPusher); ok {
-		own = "PushBatch"
-	} else if _, ok := e.(BatchPuller); ok {
-		own = "PullBatch"
-	}
-	ownTransfers.Store(t, own)
-	return own
-}
-
-var ownTransfers sync.Map // reflect.Type → string
-
-// declares reports whether the class *T, or a class it embeds, declares
-// Push or Pull rather than inheriting Base's. Go reaches an inherited
-// method through a compiler-generated wrapper, so *T declares its own
-// exactly when the method's source file is not the one the wrapper of
-// inheritor, which inherits both, reports. The method names are spelled
-// out because the linker keeps every exported method of every type in
-// the binary unless MethodByName's argument is a constant.
-func declares(t reflect.Type) (push, pull bool) {
-	file := func(m reflect.Method, ok bool) string {
-		if !ok {
-			return ""
-		}
-		pc := m.Func.Pointer()
-		f, _ := runtime.FuncForPC(pc).FileLine(pc)
-		return f
-	}
-	wrapper := file(reflect.TypeOf(&inheritor{}).MethodByName("Push"))
-	f := file(t.MethodByName("Push"))
-	push = f != "" && f != wrapper
-	f = file(t.MethodByName("Pull"))
-	pull = f != "" && f != wrapper
-	for i := 0; i < t.Elem().NumField(); i++ {
-		if f := t.Elem().Field(i); f.Anonymous && f.Type.Kind() == reflect.Struct && f.Type != reflect.TypeOf(Base{}) {
-			a, b := declares(reflect.PointerTo(f.Type))
-			push, pull = push || a, pull || b
-		}
-	}
-	return push, pull
-}
-
-// inheritor is the reference class that inherits every transfer.
-type inheritor struct{ Base }
 
 // BuildFromText parses, elaborates, and assembles a configuration.
 func BuildFromText(config, file string, reg *Registry, opts BuildOptions) (*Router, error) {

@@ -8,15 +8,13 @@ import (
 	"repro/internal/simcpu"
 )
 
-// tBatchSink records packets and whether they arrived via the batch
-// path.
+// tBatchSink records packets and how many bursts brought them.
 type tBatchSink struct {
 	Base
 	got        []*packet.Packet
 	batchCalls int
 }
 
-func (s *tBatchSink) Push(port int, p *packet.Packet) { s.got = append(s.got, p) }
 func (s *tBatchSink) PushBatch(port int, ps []*packet.Packet) {
 	s.batchCalls++
 	s.got = append(s.got, ps...)
@@ -29,15 +27,7 @@ type tBatchPuller struct {
 	batchCalls int
 }
 
-func (e *tBatchPuller) Push(port int, p *packet.Packet) { e.queue = append(e.queue, p) }
-func (e *tBatchPuller) Pull(port int) *packet.Packet {
-	if len(e.queue) == 0 {
-		return nil
-	}
-	p := e.queue[0]
-	e.queue = e.queue[1:]
-	return p
-}
+func (e *tBatchPuller) PushBatch(port int, ps []*packet.Packet) { e.queue = append(e.queue, ps...) }
 func (e *tBatchPuller) PullBatch(port int, buf []*packet.Packet) int {
 	e.batchCalls++
 	n := copy(buf, e.queue)
@@ -86,25 +76,9 @@ func mkBatch(n int) []*packet.Packet {
 	return ps
 }
 
-func TestPushBatchScalarFallback(t *testing.T) {
-	rt, err := BuildFromText("a :: TPass -> s :: TSink;", "t", batchTestRegistry(), BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, s := rt.Find("a").(*tPass), rt.Find("s").(*tSink)
-	a.Output(0).PushBatch(mkBatch(3))
-	if len(s.got) != 3 {
-		t.Fatalf("sink got %d packets, want 3", len(s.got))
-	}
-	for i, p := range s.got {
-		if p.Data()[0] != byte(i) {
-			t.Fatalf("packet %d out of order: %v", i, p.Data())
-		}
-	}
-}
-
 func TestPushBatchTarget(t *testing.T) {
-	rt, err := BuildFromText("a :: TPass -> s :: TBatchSink;", "t", batchTestRegistry(), BuildOptions{})
+	cpu := simcpu.New(simcpu.P0)
+	rt, err := BuildFromText("a :: TPass -> s :: TBatchSink;", "t", batchTestRegistry(), BuildOptions{CPU: cpu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +93,11 @@ func TestPushBatchTarget(t *testing.T) {
 		}
 	}
 	// Single-packet batches take the scalar path — no dispatch savings
-	// to be had.
+	// to be had — which reaches the sink as a burst of one.
 	a.Output(0).PushBatch(mkBatch(1))
-	if s.batchCalls != 1 || len(s.got) != 5 {
-		t.Errorf("len-1 batch: batchCalls=%d got=%d, want scalar delivery", s.batchCalls, len(s.got))
+	if cpu.BatchTransfers != 1 || s.batchCalls != 2 || len(s.got) != 5 {
+		t.Errorf("len-1 batch: %d batch transfers, batchCalls=%d got=%d, want scalar delivery",
+			cpu.BatchTransfers, s.batchCalls, len(s.got))
 	}
 	// Empty batches are no-ops.
 	a.Output(0).PushBatch(nil)
@@ -166,7 +141,7 @@ func TestPullBatch(t *testing.T) {
 	}
 	buf := make([]*packet.Packet, 8)
 	if n := k.Input(0).PullBatch(buf); n != 5 {
-		t.Fatalf("scalar-fallback PullBatch returned %d, want 5", n)
+		t.Fatalf("PullBatch returned %d, want 5", n)
 	}
 	for i := 0; i < 5; i++ {
 		if buf[i].Data()[0] != byte(i) {

@@ -27,11 +27,15 @@ func (e *Discard) SimpleAction(p *packet.Packet) *packet.Packet {
 // is the canonical way to cap unused ports.
 type Idle struct{ core.Base }
 
-// Push discards.
-func (e *Idle) Push(port int, p *packet.Packet) { e.Drop(p) }
+// PushBatch discards.
+func (e *Idle) PushBatch(port int, ps []*packet.Packet) {
+	for _, p := range ps {
+		e.Drop(p)
+	}
+}
 
-// Pull produces nothing.
-func (e *Idle) Pull(port int) *packet.Packet { return nil }
+// PullBatch produces nothing.
+func (e *Idle) PullBatch(port int, buf []*packet.Packet) int { return 0 }
 
 // Null passes packets through unchanged (one input, one output).
 type Null struct{ core.Base }
@@ -155,18 +159,7 @@ func (e *Queue) enqueue(p *packet.Packet) {
 	}
 }
 
-// dequeue removes the oldest packet, or nil when empty.
-func (e *Queue) dequeue() *packet.Packet {
-	return e.ring.Load().pop()
-}
-
-// Push enqueues or tail-drops.
-func (e *Queue) Push(port int, p *packet.Packet) {
-	e.Work()
-	e.enqueue(p)
-}
-
-// PushBatch enqueues the batch.
+// PushBatch enqueues the batch, tail-dropping what does not fit.
 func (e *Queue) PushBatch(port int, ps []*packet.Packet) {
 	for _, p := range ps {
 		e.Work()
@@ -174,30 +167,18 @@ func (e *Queue) PushBatch(port int, ps []*packet.Packet) {
 	}
 }
 
-// Pull dequeues. An empty queue charges only a cheap occupancy check,
-// so idle ToDevice polling does not masquerade as per-packet work.
-func (e *Queue) Pull(port int) *packet.Packet {
-	p := e.dequeue()
-	if p == nil {
-		e.Charge(costQueueEmptyCheck)
-		return nil
-	}
-	e.Work()
-	return p
-}
-
 // PullBatch dequeues up to len(buf) packets, returning the number
-// delivered.
+// delivered. An empty queue charges only a cheap occupancy check, so
+// idle ToDevice polling does not masquerade as per-packet work.
 func (e *Queue) PullBatch(port int, buf []*packet.Packet) int {
-	n := 0
-	for n < len(buf) {
-		p := e.dequeue()
+	r, n := e.ring.Load(), 0
+	for ; n < len(buf); n++ {
+		p := r.pop()
 		if p == nil {
 			break
 		}
 		e.Work()
 		buf[n] = p
-		n++
 	}
 	if n == 0 {
 		e.Charge(costQueueEmptyCheck)
@@ -224,22 +205,9 @@ func (e *RouterLink) SimpleAction(p *packet.Packet) *packet.Packet {
 // Tee clones each input packet to every output.
 type Tee struct{ core.Base }
 
-// Push clones to all outputs (the final one gets the original).
-func (e *Tee) Push(port int, p *packet.Packet) {
-	e.Work()
-	n := e.NOutputs()
-	for i := 0; i < n-1; i++ {
-		e.Output(i).Push(p.Clone())
-	}
-	if n > 0 {
-		e.Output(n - 1).Push(p)
-	} else {
-		e.Drop(p)
-	}
-}
-
-// PushBatch clones the batch to every output (the final one gets the
-// originals).
+// PushBatch clones the batch to every output, output by output; the
+// final output gets the originals as one batch. Each clone is pushed as
+// it is made, so a Tee allocates nothing.
 func (e *Tee) PushBatch(port int, ps []*packet.Packet) {
 	for range ps {
 		e.Work()
@@ -251,13 +219,9 @@ func (e *Tee) PushBatch(port int, ps []*packet.Packet) {
 		}
 		return
 	}
-	if n > 1 {
-		clones := make([]*packet.Packet, len(ps))
-		for i := 0; i < n-1; i++ {
-			for j, p := range ps {
-				clones[j] = p.Clone()
-			}
-			e.Output(i).PushBatch(clones)
+	for i := 0; i < n-1; i++ {
+		for _, p := range ps {
+			e.Output(i).Push(p.Clone())
 		}
 	}
 	e.Output(n - 1).PushBatch(ps)
@@ -284,10 +248,14 @@ func (e *StaticSwitch) Configure(args []string) error {
 	return nil
 }
 
-// Push routes to the configured output.
-func (e *StaticSwitch) Push(port int, p *packet.Packet) {
+// PushBatch routes to the configured output.
+func (e *StaticSwitch) PushBatch(port int, ps []*packet.Packet) {
+	pushRun(routeRuns(&e.Base, e, ps))
+}
+
+func (e *StaticSwitch) route(*packet.Packet) int {
 	e.Work()
-	e.CheckedPush(e.Port, p)
+	return e.Port
 }
 
 // InfiniteSource pushes synthetic 64-byte-class UDP packets from a task
@@ -459,34 +427,40 @@ func (e *RED) rand() float64 {
 	return float64(e.seed*0x2545f4914f6cdd1d>>11) / float64(1<<53)
 }
 
-// Push applies the drop decision and forwards survivors. RED writes its
-// own Push rather than a SimpleAction because each decision reads the
-// queue lengths the previous packet left behind: run over a batch before
-// any of it is forwarded, it would judge every packet against the
-// occupancy at the start of the batch.
-func (e *RED) Push(port int, p *packet.Packet) {
-	e.Work()
+// PushBatch applies the drop decision to each packet and forwards each
+// survivor before judging the next. RED is a per-packet loop rather than
+// a SimpleAction because each decision reads the queue lengths the
+// previous packet left behind: run over a batch before any of it is
+// forwarded, it would judge every packet against the occupancy at the
+// start of the batch.
+func (e *RED) PushBatch(port int, ps []*packet.Packet) {
+	for _, p := range ps {
+		e.Work()
+		if e.drop() {
+			// Atomic: the drops handler samples the count live.
+			atomic.AddInt64(&e.Drops, 1)
+			e.Drop(p)
+			continue
+		}
+		e.Output(0).Push(p)
+	}
+}
+
+// drop decides from the downstream queues' average occupancy.
+func (e *RED) drop() bool {
 	total := 0
 	for _, q := range e.queues {
 		total += q.Len()
 	}
-	avg := total / len(e.queues)
-	drop := false
-	switch {
+	switch avg := total / len(e.queues); {
 	case avg < e.minThresh:
+		return false
 	case avg >= e.maxThresh:
-		drop = true
+		return true
 	default:
 		frac := float64(avg-e.minThresh) / float64(e.maxThresh-e.minThresh)
-		drop = e.rand() < frac*e.maxP
+		return e.rand() < frac*e.maxP
 	}
-	if drop {
-		// Atomic: the drops handler samples the count live.
-		atomic.AddInt64(&e.Drops, 1)
-		e.Drop(p)
-		return
-	}
-	e.Output(0).Push(p)
 }
 
 // ScheduleInfo assigns scheduling weights to named tasks: each argument
@@ -537,10 +511,14 @@ func (e *Switch) Configure(args []string) error {
 	return nil
 }
 
-// Push routes to the current port.
-func (e *Switch) Push(port int, p *packet.Packet) {
+// PushBatch routes to the current port.
+func (e *Switch) PushBatch(port int, ps []*packet.Packet) {
+	pushRun(routeRuns(&e.Base, e, ps))
+}
+
+func (e *Switch) route(*packet.Packet) int {
 	e.Work()
-	e.CheckedPush(e.port, p)
+	return e.port
 }
 
 // Handlers exports the switchable port.
@@ -564,10 +542,14 @@ func (e *Switch) Handlers() []core.Handler {
 // on output p, out-of-range paints are dropped.
 type PaintSwitch struct{ core.Base }
 
-// Push routes by paint.
-func (e *PaintSwitch) Push(port int, p *packet.Packet) {
+// PushBatch routes by paint.
+func (e *PaintSwitch) PushBatch(port int, ps []*packet.Packet) {
+	pushRun(routeRuns(&e.Base, e, ps))
+}
+
+func (e *PaintSwitch) route(p *packet.Packet) int {
 	e.Work()
-	e.CheckedPush(int(p.Anno.Paint), p)
+	return int(p.Anno.Paint)
 }
 
 // ToHost hands packets to the host network stack — the "to Linux" arrow

@@ -55,39 +55,56 @@ func (e *classifierBase) route(p *packet.Packet) int {
 	return out
 }
 
-// Push classifies.
-func (e *classifierBase) Push(port int, p *packet.Packet) { e.CheckedPush(e.route(p), p) }
-
 // PushBatch classifies each packet and forwards runs of consecutive
 // same-port packets as sub-batches, preserving per-port packet order.
 func (e *classifierBase) PushBatch(port int, ps []*packet.Packet) {
-	pushRunsBatch(&e.Base, ps, e.route)
+	pushRun(routeRuns(&e.Base, e, ps))
 }
 
-// pushRunsBatch routes a batch through a per-packet port decision,
-// emitting maximal runs of consecutive same-port packets as one
-// batched transfer each; -1 drops the packet.
-func pushRunsBatch(b *core.Base, ps []*packet.Packet, route func(*packet.Packet) int) {
-	start, cur := 0, -2
-	flush := func(end int) {
-		if cur >= 0 && end > start {
-			b.Output(cur).PushBatch(ps[start:end])
-		}
-	}
+// portChooser is an element that chooses one output per packet: route
+// returns the port p leaves on, or -1 to drop it.
+type portChooser interface {
+	route(p *packet.Packet) int
+}
+
+// routeRuns is the burst transfer of every portChooser c, whose Base is
+// b. It routes ps through c's per-packet decision and pushes each
+// maximal run of consecutive same-port packets as one batched transfer,
+// which preserves per-port order — all but the last run, which it
+// returns with its port for the caller to hand to pushRun. A port that
+// is not wired (-1 for "none") drops the packet. The scalar path nests
+// every hop inside the previous one, and on a call chain that deep each
+// frame costs a mispredicted return: leaving the last push to the
+// caller keeps this helper's frame off the chain.
+func routeRuns(b *core.Base, c portChooser, ps []*packet.Packet) (*core.OutPort, []*packet.Packet) {
+	start, cur := 0, -1 // ps[start:i] is a run bound for output cur; -1: none
 	for i, p := range ps {
-		out := route(p)
-		if out < 0 {
-			flush(i)
-			b.Drop(p)
-			cur, start = -2, i+1
+		out := c.route(p)
+		valid := uint(out) < uint(b.NOutputs())
+		if valid && out == cur {
 			continue
 		}
-		if out != cur {
-			flush(i)
-			cur, start = out, i
+		if cur >= 0 {
+			b.Output(cur).PushBatch(ps[start:i])
+		}
+		cur, start = -1, i
+		if valid {
+			cur = out
+		} else {
+			b.Drop(p)
 		}
 	}
-	flush(len(ps))
+	if cur < 0 {
+		return nil, nil
+	}
+	return b.Output(cur), ps[start:]
+}
+
+// pushRun pushes the run routeRuns left, if any.
+func pushRun(out *core.OutPort, run []*packet.Packet) {
+	if len(run) > 0 {
+		out.PushBatch(run)
+	}
 }
 
 // Classifier matches raw packet data against hex patterns

@@ -71,8 +71,8 @@ func (e *IPInputCombo) SimpleAction(p *packet.Packet) *packet.Packet {
 // IPOutputCombo fuses the output path: DropBroadcasts → CheckPaint(COLOR)
 // → IPGWOptions(MYADDR) → FixIPSrc(MYADDR) → DecIPTTL → IPFragmenter(MTU).
 // Outputs: 0 forward, 1 redirect (paint match), 2 bad options, 3 TTL
-// expired, 4 fragmentation needed (DF set). It writes its own Push and
-// PushBatch because fragmenting emits several packets on output 0.
+// expired, 4 fragmentation needed (DF set). It writes its own PushBatch
+// because fragmenting emits several packets on output 0.
 type IPOutputCombo struct {
 	core.Base
 	paint     CheckPaint
@@ -135,20 +135,10 @@ func (e *IPOutputCombo) fragment(p *packet.Packet) {
 	e.frag.fragment(p, h, e.Output(0))
 }
 
-// Push performs the fused output path.
-func (e *IPOutputCombo) Push(port int, p *packet.Packet) {
-	switch ok, oversize := e.process(p); {
-	case oversize:
-		e.fragment(p)
-	case ok:
-		e.Output(0).Push(p)
-	}
-}
-
 // PushBatch runs the fused output path over the batch, forwarding
 // survivors as one compacted batch on output 0. When a packet needs
 // fragmentation, pending survivors are flushed first so output-0 order
-// matches the scalar path exactly.
+// matches the order the packets came in.
 func (e *IPOutputCombo) PushBatch(port int, ps []*packet.Packet) {
 	k := 0
 	for _, p := range ps {
@@ -192,13 +182,18 @@ func (e *EtherEncapARP) Configure(args []string) error {
 	return nil
 }
 
-// Push encapsulates IP packets; ARP responses on input 1 are dropped.
-func (e *EtherEncapARP) Push(port int, p *packet.Packet) {
-	e.Work()
-	if port == 1 {
-		e.Drop(p)
-		return
+// PushBatch encapsulates IP packets; ARP responses on input 1 are
+// dropped.
+func (e *EtherEncapARP) PushBatch(port int, ps []*packet.Packet) {
+	for _, p := range ps {
+		e.Work()
+		if port == 1 {
+			e.Drop(p)
+			continue
+		}
+		encapEther(p, packet.EtherTypeIP, e.src, e.dst)
 	}
-	encapEther(p, packet.EtherTypeIP, e.src, e.dst)
-	e.Output(0).Push(p)
+	if port == 0 {
+		e.Output(0).PushBatch(ps)
+	}
 }

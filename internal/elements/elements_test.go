@@ -73,7 +73,7 @@ type sink struct {
 	got []*packet.Packet
 }
 
-func (s *sink) Push(port int, p *packet.Packet) { s.got = append(s.got, p) }
+func (s *sink) PushBatch(port int, ps []*packet.Packet) { s.got = append(s.got, ps...) }
 
 // testRegistry returns the builtin registry plus TestSink (push sink
 // with any number of inputs).

@@ -259,22 +259,6 @@ func (e *ARPQuerier) Configure(args []string) (err error) {
 	return err
 }
 
-// Push handles IP packets (port 0) and ARP responses (port 1).
-func (e *ARPQuerier) Push(port int, p *packet.Packet) {
-	e.Work()
-	if port == 1 {
-		e.handleResponse(p)
-		return
-	}
-	next := nextHop(p)
-	if ea, ok := e.tbl[next]; ok {
-		encapEther(p, packet.EtherTypeIP, e.eth, ea)
-		e.Output(0).Push(p)
-		return
-	}
-	e.holdAndQuery(next, p)
-}
-
 // holdAndQuery takes the miss path: hold p (replacing any packet already
 // waiting on next) and emit an ARP query. The hold outlives this push,
 // so any flow-recording mark dies here: the release happens on a later
@@ -291,29 +275,27 @@ func (e *ARPQuerier) holdAndQuery(next packet.IP4, p *packet.Packet) {
 	e.Output(0).Push(makeARP(packet.ARPOpRequest, packet.BroadcastEther, e.eth, e.ip, packet.EtherAddr{}, next))
 }
 
-// PushBatch encapsulates a batch of IP packets, forwarding runs whose
-// mappings are known as sub-batches; misses fall back to the scalar
-// hold-and-query path. ARP responses (port 1) are always scalar.
+// PushBatch handles IP packets (port 0) and ARP responses (port 1). IP
+// packets whose mappings are known leave encapsulated in runs, as
+// sub-batches; a miss takes the hold-and-query path.
 func (e *ARPQuerier) PushBatch(port int, ps []*packet.Packet) {
 	if port == 1 {
 		for _, p := range ps {
-			e.Push(port, p)
+			e.Work()
+			e.handleResponse(p)
 		}
 		return
 	}
 	k := 0
-	flush := func() {
-		e.Output(0).PushBatch(ps[:k])
-		k = 0
-	}
 	for _, p := range ps {
 		e.Work()
 		next := nextHop(p)
 		ea, ok := e.tbl[next]
 		if !ok {
-			// Miss: emit pending hits first so output order matches the
-			// scalar path.
-			flush()
+			// Miss: emit pending hits first so output order is arrival
+			// order.
+			e.Output(0).PushBatch(ps[:k])
+			k = 0
 			e.holdAndQuery(next, p)
 			continue
 		}
@@ -321,7 +303,7 @@ func (e *ARPQuerier) PushBatch(port int, ps []*packet.Packet) {
 		ps[k] = p
 		k++
 	}
-	flush()
+	e.Output(0).PushBatch(ps[:k])
 }
 
 // makeARP builds an Ethernet-framed ARP packet from srcEth/srcIP, sent

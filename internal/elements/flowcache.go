@@ -199,9 +199,17 @@ func applyTransform(d []byte, ether *[14]byte, ttlDelta uint8) {
 	}
 }
 
-// Push handles ingress traffic (ports 0..M-1) and record taps
-// (ports M..M+E-1).
-func (e *FlowCache) Push(port int, p *packet.Packet) {
+// PushBatch handles ingress traffic (ports 0..M-1) and record taps
+// (ports M..M+E-1) one packet at a time, in order: a recording must see
+// the slow path's effect before the next packet consults the cache.
+func (e *FlowCache) PushBatch(port int, ps []*packet.Packet) {
+	for _, p := range ps {
+		e.push(port, p)
+	}
+}
+
+// push handles one packet.
+func (e *FlowCache) push(port int, p *packet.Packet) {
 	if port >= e.nIngress {
 		e.tap(port, p)
 		return
@@ -335,14 +343,6 @@ func (e *FlowCache) deriveTransform(fp *flowPending, ent *flowEntry) bool {
 		}
 	}
 	return true
-}
-
-// PushBatch processes a batch through the scalar path in order; hits,
-// misses, and recordings interleave exactly as scalar execution would.
-func (e *FlowCache) PushBatch(port int, ps []*packet.Packet) {
-	for _, p := range ps {
-		e.Push(port, p)
-	}
 }
 
 // Entries returns the live entry count across all shards.

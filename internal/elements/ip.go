@@ -239,14 +239,18 @@ func (e *LookupIPRoute) Lookup(a packet.IP4) (route, bool) {
 	return e.routes[best], true
 }
 
-// Push routes on the destination annotation.
-func (e *LookupIPRoute) Push(port int, p *packet.Packet) {
+// PushBatch routes on the destination annotation.
+func (e *LookupIPRoute) PushBatch(port int, ps []*packet.Packet) {
+	pushRun(routeRuns(&e.Base, e, ps))
+}
+
+func (e *LookupIPRoute) route(p *packet.Packet) int {
 	e.Work()
 	e.Charge(int64(len(e.routes)) * costLookupPerRoute)
 	atomic.AddInt64(&e.Lookups, 1)
 	dst := nextHop(p)
 	r, ok := e.Lookup(dst)
-	pushRouted(&e.Base, &e.NoRoute, r, ok, dst, p)
+	return routedPort(&e.Base, &e.NoRoute, r, ok, dst, p)
 }
 
 // nextHop returns the address p is forwarded towards: the destination
@@ -265,21 +269,20 @@ func headerDst(p *packet.Packet) (dst packet.IP4) {
 	return dst
 }
 
-// pushRouted is the forwarding step of both routing elements, given the
-// route r their table holds for p's next hop dst: leave the gateway (or
-// dst itself, for a directly connected route) in the annotation and push
-// p out of b on the route's port. A miss is counted and dropped.
-func pushRouted(b *core.Base, noRoute *int64, r route, ok bool, dst packet.IP4, p *packet.Packet) {
+// routedPort is the forwarding decision of both routing elements, given
+// the route r their table holds for p's next hop dst: leave the gateway
+// (or dst itself, for a directly connected route) in the annotation and
+// return the route's port of b. A miss is counted and returns -1.
+func routedPort(b *core.Base, noRoute *int64, r route, ok bool, dst packet.IP4, p *packet.Packet) int {
 	if !ok || r.port >= b.NOutputs() {
 		atomic.AddInt64(noRoute, 1)
-		b.Drop(p)
-		return
+		return -1
 	}
 	if !r.gw.IsZero() {
 		dst = r.gw
 	}
 	p.Anno.DstIPAnno = dst
-	b.Output(r.port).Push(p)
+	return r.port
 }
 
 // DropBroadcasts drops packets that arrived as link-level broadcasts —
@@ -478,24 +481,31 @@ func (e *IPFragmenter) Configure(args []string) error {
 	return nil
 }
 
-// Push forwards, fragments, or rejects.
-func (e *IPFragmenter) Push(port int, p *packet.Packet) {
-	e.Work()
-	if p.Len() <= e.mtu {
-		e.Output(0).Push(p)
-		return
+// PushBatch forwards, fragments, or rejects each packet. Packets that
+// fit leave as one compacted batch on output 0; pending ones are flushed
+// before a packet is fragmented, so output-0 order is arrival order.
+func (e *IPFragmenter) PushBatch(port int, ps []*packet.Packet) {
+	k := 0
+	for _, p := range ps {
+		e.Work()
+		if p.Len() <= e.mtu {
+			ps[k] = p
+			k++
+			continue
+		}
+		switch h, ok := p.IPHeader(); {
+		case !ok:
+			e.Drop(p)
+		case h.DontFragment():
+			atomic.AddInt64(&e.DFDrops, 1)
+			e.CheckedPush(1, p)
+		default:
+			e.Output(0).PushBatch(ps[:k])
+			k = 0
+			e.fragment(p, h, e.Output(0))
+		}
 	}
-	h, ok := p.IPHeader()
-	if !ok {
-		e.Drop(p)
-		return
-	}
-	if h.DontFragment() {
-		atomic.AddInt64(&e.DFDrops, 1)
-		e.CheckedPush(1, p)
-		return
-	}
-	e.fragment(p, h, e.Output(0))
+	e.Output(0).PushBatch(ps[:k])
 }
 
 // fragment splits p, whose IP header is h, into MTU-sized fragments

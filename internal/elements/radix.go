@@ -68,12 +68,16 @@ func (e *RadixIPLookup) Lookup(a packet.IP4) (route, bool) {
 	return *best, true
 }
 
-// Push routes on the destination annotation, like LookupIPRoute.
-func (e *RadixIPLookup) Push(port int, p *packet.Packet) {
+// PushBatch routes on the destination annotation, like LookupIPRoute.
+func (e *RadixIPLookup) PushBatch(port int, ps []*packet.Packet) {
+	pushRun(routeRuns(&e.Base, e, ps))
+}
+
+func (e *RadixIPLookup) route(p *packet.Packet) int {
 	e.Work()
 	dst := nextHop(p)
 	r, ok := e.Lookup(dst)
-	pushRouted(&e.Base, &e.NoRoute, r, ok, dst, p)
+	return routedPort(&e.Base, &e.NoRoute, r, ok, dst, p)
 }
 
 // Handlers exports routing statistics.

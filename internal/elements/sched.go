@@ -13,6 +13,28 @@ import (
 // draining several Queues through a scheduler is the canonical QoS
 // configuration) and exercise the pull side of the runtime.
 
+// scheduler is a packet scheduler: pull services the input it chooses,
+// or returns nil when none has a packet.
+type scheduler interface {
+	pull() *packet.Packet
+}
+
+// pullEach is the burst transfer of every scheduler s: it fills buf one
+// decision at a time, each seeing the state the previous one left, and
+// stops at the first empty pull.
+func pullEach(s scheduler, buf []*packet.Packet) int {
+	n := 0
+	for n < len(buf) {
+		p := s.pull()
+		if p == nil {
+			break
+		}
+		buf[n] = p
+		n++
+	}
+	return n
+}
+
 // RoundRobinSched pulls from its inputs in round-robin order, skipping
 // empty sources within a round.
 type RoundRobinSched struct {
@@ -20,8 +42,12 @@ type RoundRobinSched struct {
 	next int
 }
 
-// Pull services the next non-empty input.
-func (e *RoundRobinSched) Pull(port int) *packet.Packet {
+// PullBatch services the next non-empty input for each packet.
+func (e *RoundRobinSched) PullBatch(port int, buf []*packet.Packet) int {
+	return pullEach(e, buf)
+}
+
+func (e *RoundRobinSched) pull() *packet.Packet {
 	e.Work()
 	n := e.NInputs()
 	for i := 0; i < n; i++ {
@@ -38,8 +64,12 @@ func (e *RoundRobinSched) Pull(port int) *packet.Packet {
 // the highest priority.
 type PrioSched struct{ core.Base }
 
-// Pull services inputs in priority order.
-func (e *PrioSched) Pull(port int) *packet.Packet {
+// PullBatch services inputs in priority order for each packet.
+func (e *PrioSched) PullBatch(port int, buf []*packet.Packet) int {
+	return pullEach(e, buf)
+}
+
+func (e *PrioSched) pull() *packet.Packet {
 	e.Work()
 	for i := 0; i < e.NInputs(); i++ {
 		if p := e.Input(i).Pull(); p != nil {
@@ -78,9 +108,13 @@ func (e *StrideSched) Configure(args []string) error {
 	return nil
 }
 
-// Pull services the input with the minimum pass value that has a packet
-// available, advancing its pass.
-func (e *StrideSched) Pull(port int) *packet.Packet {
+// PullBatch services, for each packet, the input with the minimum pass
+// value that has a packet available, advancing its pass.
+func (e *StrideSched) PullBatch(port int, buf []*packet.Packet) int {
+	return pullEach(e, buf)
+}
+
+func (e *StrideSched) pull() *packet.Packet {
 	e.Work()
 	if len(e.tickets) != e.NInputs() {
 		return nil

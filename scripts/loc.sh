@@ -1,7 +1,10 @@
 #!/bin/sh
 # The two size figures ROADMAP tracks: non-test Go lines in the root
-# module, and how many packet transfers internal/elements still writes
-# by hand (every other class gets all four from its SimpleAction).
+# module, and how many packet transfers internal/elements writes by hand
+# beside its SimpleActions (a SimpleAction class gets both burst
+# transfers from core). Push and Pull read 0 and should stay 0: an
+# element writes PushBatch/PullBatch only, and core.Base's Push and Pull,
+# a burst of one, are the only scalar transfers.
 set -eu
 
 cd "$(dirname "$0")/.."

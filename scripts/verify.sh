@@ -24,6 +24,9 @@ GOOS=windows go vet ./...
 test -z "$(gofmt -l .)"
 go test ./...
 go test -race ./...
+# The model reproductions (Fig 8-13, the E series) must not move:
+# results_all.txt is their committed output, byte for byte.
+go run ./cmd/click-bench -experiment all | diff results_all.txt -
 sh scripts/loc.sh
 # bench/ is its own module, so ./... above does not reach it: its tests
 # hold the harness to zero allocations and BENCHMARK.json to the metric
