@@ -93,6 +93,8 @@ type Base struct {
 	// one is the burst of one that Push and Pull run. It cannot live on
 	// their stacks, because it escapes through the interface call.
 	one [1]*packet.Packet
+	// asleep takes a task element off the run list (Sleep, Wake).
+	asleep bool
 }
 
 func (b *Base) base() *Base { return b }
@@ -227,6 +229,20 @@ func (b *Base) Pull(port int) *packet.Packet {
 	b.one[0] = saved
 	return p
 }
+
+// Sleep takes the element's task off the run list until Wake. A task
+// calls it when it found no work and whoever brings work will wake it
+// (an empty Queue wakes its consumer on the next push). With a cost
+// model attached it does nothing: the model charges every idle poll.
+func (b *Base) Sleep() {
+	if b.cpu == nil {
+		b.asleep = true
+	}
+}
+
+// Wake puts the element's task back on the run list. A task woken
+// during a round runs in that round if it comes later in the task table.
+func (b *Base) Wake() { b.asleep = false }
 
 // Configure is the default implementation for elements that take no
 // configuration.

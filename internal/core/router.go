@@ -19,16 +19,24 @@ type Router struct {
 	CPU      *simcpu.CPU
 
 	elements  []Element // parallel to Graph.Elements, whose name index finds them
-	tasks     []Task
-	weights   []int
-	taskElems []int // element index of each task, parallel to tasks
-	dead      int   // removed element slots awaiting compaction (splice.go)
-	deadTasks int   // removed task slots awaiting compaction
+	tasks     []task    // in element order
+	dead      int       // removed element slots awaiting compaction (splice.go)
+	deadTasks int       // removed task slots awaiting compaction
 	proc      *graph.Processing
 	env       map[string]interface{}
 	burst     int
 	tracer    *Tracer
 	guards    *Generations
+}
+
+// task is one entry of the run list: the scheduled element, its Base
+// (which holds the asleep bit), its weight and its element index. A
+// removed task is a tombstone that keeps only its element index.
+type task struct {
+	run    Task
+	base   *Base
+	weight int
+	elem   int
 }
 
 // Env returns the named environment object supplied at build time, or
@@ -195,13 +203,11 @@ func Build(g *graph.Router, reg *Registry, opts BuildOptions) (*Router, error) {
 	}
 	for i, e := range rt.elements {
 		if t, ok := e.(Task); ok {
-			rt.tasks = append(rt.tasks, t)
-			rt.taskElems = append(rt.taskElems, i)
 			w := weightOf[g.Elements[i].Name]
 			if w <= 0 {
 				w = 1
 			}
-			rt.weights = append(rt.weights, w)
+			rt.tasks = append(rt.tasks, task{run: t, base: e.base(), weight: w, elem: i})
 		}
 	}
 	return rt, nil
@@ -230,14 +236,16 @@ func (rt *Router) Elements() []Element { return rt.elements }
 // Processing returns the resolved push/pull assignment.
 func (rt *Router) Processing() *graph.Processing { return rt.proc }
 
-// RunTaskRound runs every task (weight times each), round-robin, and
-// reports whether any did useful work. This stands in for one iteration
-// of Click's kernel thread loop.
+// RunTaskRound runs each awake task weight times, in task table order,
+// and reports whether any did useful work. A task that goes to sleep
+// (Base.Sleep) gives up the rest of its runs. This stands in for one
+// iteration of Click's kernel thread loop.
 func (rt *Router) RunTaskRound() bool {
 	any := false
-	for i, t := range rt.tasks {
-		for w := 0; w < rt.weights[i]; w++ {
-			if t.RunTask() {
+	for i := range rt.tasks {
+		t := &rt.tasks[i]
+		for w := 0; w < t.weight && !t.base.asleep; w++ {
+			if t.run.RunTask() {
 				any = true
 			}
 		}

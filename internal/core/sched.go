@@ -8,10 +8,11 @@ import (
 
 // Scheduler is the run loop of a live router: the single polling kernel
 // thread of the paper's Click, plus the one seam through which anything
-// outside that thread may touch the router. RunRound runs every task
-// (PollDevice loops, ToDevice and Unqueue pulls) weight times on the
-// caller's goroutine, exactly as Router.RunTaskRound does, after first
-// running whatever control operations other goroutines have queued.
+// outside that thread may touch the router. RunRound runs the awake
+// tasks (PollDevice loops, ToDevice and Unqueue pulls) weight times on
+// the caller's goroutine, exactly as Router.RunTaskRound does, after
+// first running whatever control operations other goroutines have
+// queued.
 //
 // A live router changes in exactly one way: a closure handed to SyncDo,
 // which runs between two rounds — no task mid-flight — and calls
@@ -156,8 +157,8 @@ func (s *Scheduler) WriteHandler(path, value string) error {
 	return err
 }
 
-// RunRound runs the queued control operations, then every task once
-// (weight times each) on the caller's goroutine, and reports whether
+// RunRound runs the queued control operations, then one task round
+// (Router.RunTaskRound) on the caller's goroutine, and reports whether
 // any task did useful work. A router installed by one of the operations
 // gets this round: its tasks are the ones that run.
 func (s *Scheduler) RunRound() bool {

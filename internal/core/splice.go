@@ -65,10 +65,10 @@ func (rt *Router) Splice(sub *Router) error {
 		rt.proc.In = append(rt.proc.In, sub.proc.In[i])
 		rt.proc.Out = append(rt.proc.Out, sub.proc.Out[i])
 	}
-	for t, task := range sub.tasks {
-		rt.tasks = append(rt.tasks, task)
-		rt.weights = append(rt.weights, sub.weights[t])
-		rt.taskElems = append(rt.taskElems, base+sub.taskElems[t])
+	for _, t := range sub.tasks {
+		t.base.asleep = false
+		t.elem += base
+		rt.tasks = append(rt.tasks, t)
 	}
 	return nil
 }
@@ -90,9 +90,10 @@ func (rt *Router) Remove(sub *Router) []Element {
 	}
 	rt.dead += len(sub.elements)
 	if n := len(sub.tasks); n > 0 {
-		lo := sort.SearchInts(rt.taskElems, at+sub.taskElems[0])
+		first := at + sub.tasks[0].elem
+		lo := sort.Search(len(rt.tasks), func(t int) bool { return rt.tasks[t].elem >= first })
 		for t := lo; t < lo+n; t++ {
-			rt.tasks[t], rt.weights[t] = nil, 0
+			rt.tasks[t] = task{elem: rt.tasks[t].elem} // keeps the search sorted
 		}
 		rt.deadTasks += n
 	}
@@ -109,14 +110,14 @@ func (rt *Router) maybeCompact() {
 	renumber := rt.dead > live
 	// Dead tasks go first: renumbering maps their elements to -1.
 	if renumber || 4*rt.deadTasks > len(rt.tasks) {
-		kt, kw, ke := rt.tasks[:0], rt.weights[:0], rt.taskElems[:0]
-		for t, task := range rt.tasks {
-			if task != nil {
-				kt, kw, ke = append(kt, task), append(kw, rt.weights[t]), append(ke, rt.taskElems[t])
+		kept := rt.tasks[:0]
+		for _, t := range rt.tasks {
+			if t.run != nil {
+				kept = append(kept, t)
 			}
 		}
-		clear(rt.tasks[len(kt):])
-		rt.tasks, rt.weights, rt.taskElems = kt, kw, ke
+		clear(rt.tasks[len(kept):])
+		rt.tasks = kept
 		rt.deadTasks = 0
 	}
 	if !renumber {
@@ -138,8 +139,8 @@ func (rt *Router) maybeCompact() {
 	}
 	rt.elements = elems
 	rt.proc.In, rt.proc.Out = newIn, newOut
-	for t := range rt.taskElems {
-		rt.taskElems[t] = remap[rt.taskElems[t]]
+	for t := range rt.tasks {
+		rt.tasks[t].elem = remap[rt.tasks[t].elem]
 	}
 	rt.dead = 0
 }
@@ -154,7 +155,7 @@ func (rt *Router) Census() (elements, tasks, names int) {
 		}
 	}
 	for _, t := range rt.tasks {
-		if t != nil {
+		if t.run != nil {
 			tasks++
 		}
 	}

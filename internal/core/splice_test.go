@@ -167,8 +167,10 @@ func TestIncrementalChurnCompactsGraph(t *testing.T) {
 	if high > 12 {
 		t.Errorf("graph slots peaked at %d during churn, want compaction to bound it", high)
 	}
-	if len(rt.tasks) != len(rt.weights) || len(rt.tasks) != len(rt.taskElems) {
-		t.Fatalf("task tables out of step: %d tasks, %d weights, %d element indices", len(rt.tasks), len(rt.weights), len(rt.taskElems))
+	for i, tk := range rt.tasks {
+		if tk.run != nil && rt.elements[tk.elem].base() != tk.base {
+			t.Fatalf("task %d (%s) is out of step with element %d", i, tk.base.name, tk.elem)
+		}
 	}
 	for s.RunUntilIdle(1024) > 0 {
 	}

@@ -74,6 +74,11 @@ type Queue struct {
 	// atomically (the "highwater_length" handler samples it live).
 	HighWater int64
 
+	// consumer is the task at the end of the queue's pull path, when it
+	// sleeps while the queue is empty (wakeOnPush); packets arriving at
+	// an empty queue wake it. A pull output has one peer, so one task.
+	consumer *core.Base
+
 	// structMu serializes structural operations (SetCapacity,
 	// SaveState/RestoreState) against each other. They run at quiescent
 	// points — handler writes and hot-swap transplant — not against
@@ -119,51 +124,58 @@ func (e *Queue) SetCapacity(n int) error {
 	}
 	e.structMu.Lock()
 	defer e.structMu.Unlock()
-	old := e.ring.Load()
 	next := newPktRing(n)
-	kept := 0
-	for {
-		p := old.pop()
-		if p == nil {
-			break
-		}
-		if kept < n {
-			next.push(p)
-			kept++
-			continue
-		}
-		atomic.AddInt64(&e.Drops, 1)
-		e.Drop(p)
-	}
+	e.fill(next, e.drain())
 	e.ring.Store(next)
 	return nil
 }
 
-// enqueue adds one packet or tail-drops, maintaining the counters.
-func (e *Queue) enqueue(p *packet.Packet) {
-	// A queued packet outlives the push that enqueued it; any
-	// flow-recording mark is only valid within that push, so it dies
-	// here (normally a flow cache's record tap has already cleared it).
-	p.Anno.FlowPending = nil
+// drain empties the ring into a new slice, oldest first.
+func (e *Queue) drain() []*packet.Packet {
 	r := e.ring.Load()
-	if !r.push(p) {
-		// The drop count is atomic so the drops handler can sample it
-		// during a run without racing.
-		atomic.AddInt64(&e.Drops, 1)
-		e.Drop(p)
-		return
-	}
-	atomic.AddInt64(&e.Enqueued, 1)
-	if occ := int64(r.len()); occ > atomic.LoadInt64(&e.HighWater) {
-		atomic.StoreInt64(&e.HighWater, occ)
-	}
+	ps := make([]*packet.Packet, r.len())
+	return ps[:r.pop(ps)]
 }
 
-// PushBatch enqueues the batch, tail-dropping what does not fit.
+// fill pushes ps into r, tail-drops and counts what does not fit, and
+// returns how many r took. The drop count is atomic so the drops
+// handler can sample it during a run without racing.
+func (e *Queue) fill(r *pktRing, ps []*packet.Packet) int {
+	n := r.push(ps)
+	if d := len(ps) - n; d > 0 {
+		atomic.AddInt64(&e.Drops, int64(d))
+		for _, p := range ps[n:] {
+			e.Drop(p)
+		}
+	}
+	return n
+}
+
+// PushBatch enqueues the batch, tail-dropping what does not fit. The
+// counters are raised once per burst: occupancy only rises during it,
+// so the high-water mark is the same. Packets that arrive at an empty
+// queue wake its consumer.
 func (e *Queue) PushBatch(port int, ps []*packet.Packet) {
 	for _, p := range ps {
 		e.Work()
-		e.enqueue(p)
+		// A queued packet outlives the push that enqueued it; any
+		// flow-recording mark is only valid within that push, so it
+		// dies here (normally a flow cache's record tap has already
+		// cleared it).
+		p.Anno.FlowPending = nil
+	}
+	r := e.ring.Load()
+	n := e.fill(r, ps)
+	if n == 0 {
+		return
+	}
+	atomic.AddInt64(&e.Enqueued, int64(n))
+	occ := r.len()
+	if int64(occ) > atomic.LoadInt64(&e.HighWater) {
+		atomic.StoreInt64(&e.HighWater, int64(occ))
+	}
+	if occ == n && e.consumer != nil {
+		e.consumer.Wake()
 	}
 }
 
@@ -171,19 +183,41 @@ func (e *Queue) PushBatch(port int, ps []*packet.Packet) {
 // delivered. An empty queue charges only a cheap occupancy check, so
 // idle ToDevice polling does not masquerade as per-packet work.
 func (e *Queue) PullBatch(port int, buf []*packet.Packet) int {
-	r, n := e.ring.Load(), 0
-	for ; n < len(buf); n++ {
-		p := r.pop()
-		if p == nil {
-			break
-		}
+	n := e.ring.Load().pop(buf)
+	for range n {
 		e.Work()
-		buf[n] = p
 	}
 	if n == 0 {
 		e.Charge(costQueueEmptyCheck)
 	}
 	return n
+}
+
+// wakeOnPush makes consumer the task every Queue upstream of in wakes.
+// It reports whether each pull path from in ends at a Queue through
+// elements whose empty pull means every Queue behind them was empty
+// (SimpleActions, whose derived pull retries until upstream has nothing,
+// and the schedulers, which try every input): only then may consumer
+// sleep after an empty pull.
+func wakeOnPush(in *core.InPort, consumer *core.Base) bool {
+	src, _ := in.Source()
+	switch e := src.(type) {
+	case *Queue:
+		e.consumer = consumer
+		return true
+	case core.SimpleAction, scheduler:
+		up := e.(interface {
+			NInputs() int
+			Input(i int) *core.InPort
+		})
+		for i := range up.NInputs() {
+			if !wakeOnPush(up.Input(i), consumer) {
+				return false
+			}
+		}
+		return up.NInputs() > 0
+	}
+	return false
 }
 
 // RouterLink stands for an inter-router link in configurations produced

@@ -270,6 +270,9 @@ type ToDevice struct {
 	// Rejected counts pulls refused because the TX ring was full —
 	// the §8.4 instrumentation showing ToDevice "chose not to pull".
 	Rejected int64
+	// sleeps is set when a push wakes the task (wakeOnPush), so it
+	// sleeps after a pull that found nothing.
+	sleeps bool
 }
 
 // Configure accepts DEVNAME [, BURST].
@@ -290,6 +293,7 @@ func (e *ToDevice) Initialize(rt *core.Router) error {
 	}
 	e.dev = dev
 	e.batch, _ = dev.(BatchDevice)
+	e.sleeps = wakeOnPush(e.Input(0), &e.Base)
 	return nil
 }
 
@@ -326,6 +330,9 @@ func (e *ToDevice) RunTask() bool {
 				cpu.ReclassifyAsOther(snap)
 				cpu.SetCategory(prev)
 			}
+			if e.sleeps {
+				e.Sleep()
+			}
 			return cleaned > 0
 		}
 		e.Work()
@@ -352,6 +359,9 @@ func (e *ToDevice) RunTask() bool {
 		if cpu != nil {
 			cpu.ReclassifyAsOther(snap)
 			cpu.SetCategory(prev)
+		}
+		if e.sleeps {
+			e.Sleep()
 		}
 		return cleaned > 0
 	}

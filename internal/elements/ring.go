@@ -10,6 +10,7 @@ import (
 // with one pusher and one puller, both on the run loop's goroutine. The
 // cursors are atomic only so that Len can be sampled by a handler on
 // another goroutine while traffic runs; the slots themselves are plain.
+// Both ends move a burst at a time, so a burst pays for one cursor store.
 //
 // The ring holds at most `logical` packets (tail drop beyond that),
 // even though the slot array is rounded up to a power of two.
@@ -48,28 +49,28 @@ func (r *pktRing) len() int {
 	return int(n)
 }
 
-// push adds p at the tail, or reports false when the ring is at
-// logical capacity (the caller tail-drops).
-func (r *pktRing) push(p *packet.Packet) bool {
+// push appends ps at the tail until the ring holds logical packets and
+// returns how many it took; the caller tail-drops the rest. The tail is
+// published once per burst.
+func (r *pktRing) push(ps []*packet.Packet) int {
 	tail := r.tail.Load()
-	if tail-r.head.Load() >= r.logical {
-		return false
+	n := min(uint64(len(ps)), r.logical-(tail-r.head.Load()))
+	for i, p := range ps[:n] {
+		r.slots[(tail+uint64(i))&r.mask] = p
 	}
-	r.slots[tail&r.mask] = p
-	r.tail.Store(tail + 1)
-	return true
+	r.tail.Store(tail + n)
+	return int(n)
 }
 
-// pop removes and returns the packet at the head, or nil when the ring
-// is empty.
-func (r *pktRing) pop() *packet.Packet {
+// pop moves up to len(buf) packets from the head into buf and returns
+// how many. The head is published once per burst.
+func (r *pktRing) pop(buf []*packet.Packet) int {
 	head := r.head.Load()
-	if head == r.tail.Load() {
-		return nil
+	n := min(uint64(len(buf)), r.tail.Load()-head)
+	for i := range buf[:n] {
+		s := &r.slots[(head+uint64(i))&r.mask]
+		buf[i], *s = *s, nil
 	}
-	s := &r.slots[head&r.mask]
-	p := *s
-	*s = nil
-	r.head.Store(head + 1)
-	return p
+	r.head.Store(head + n)
+	return int(n)
 }

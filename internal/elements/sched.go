@@ -86,6 +86,7 @@ type StrideSched struct {
 	tickets []int
 	pass    []uint64
 	stride  []uint64
+	tried   []bool // per-pull scratch: inputs found empty
 }
 
 // strideOne is the stride constant (tickets divide it).
@@ -105,6 +106,7 @@ func (e *StrideSched) Configure(args []string) error {
 		e.stride = append(e.stride, uint64(strideOne/n))
 		e.pass = append(e.pass, uint64(strideOne/n))
 	}
+	e.tried = make([]bool, len(args))
 	return nil
 }
 
@@ -119,7 +121,8 @@ func (e *StrideSched) pull() *packet.Packet {
 	if len(e.tickets) != e.NInputs() {
 		return nil
 	}
-	tried := make([]bool, len(e.pass))
+	tried := e.tried
+	clear(tried)
 	for range e.pass {
 		best := -1
 		for i := range e.pass {
@@ -207,6 +210,7 @@ type Unqueue struct {
 	Moved   int64
 	burst   int
 	scratch []*packet.Packet
+	sleeps  bool // as ToDevice's
 }
 
 // Configure accepts an optional BURST (default 1).
@@ -225,6 +229,13 @@ func (e *Unqueue) Configure(args []string) error {
 	return nil
 }
 
+// Initialize lets the task sleep while its input is empty, when a push
+// wakes it (wakeOnPush).
+func (e *Unqueue) Initialize(rt *core.Router) error {
+	e.sleeps = wakeOnPush(e.Input(0), &e.Base)
+	return nil
+}
+
 // RunTask moves up to one burst of packets if available.
 func (e *Unqueue) RunTask() bool {
 	burst := e.burst
@@ -235,6 +246,9 @@ func (e *Unqueue) RunTask() bool {
 		e.Work()
 		p := e.Input(0).Pull()
 		if p == nil {
+			if e.sleeps {
+				e.Sleep()
+			}
 			return false
 		}
 		e.Moved++
@@ -247,6 +261,9 @@ func (e *Unqueue) RunTask() bool {
 	n := e.Input(0).PullBatch(e.scratch[:burst])
 	if n == 0 {
 		e.Work()
+		if e.sleeps {
+			e.Sleep()
+		}
 		return false
 	}
 	for i := 0; i < n; i++ {

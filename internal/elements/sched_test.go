@@ -102,6 +102,16 @@ func TestStrideSchedProportions(t *testing.T) {
 	}
 }
 
+// A pull through StrideSched allocates nothing, even when every input
+// has to be tried.
+func TestStrideSchedPullAllocatesNothing(t *testing.T) {
+	rt, _ := schedRig(t, "StrideSched(3, 1)", []int{0, 0})
+	in := rt.Find("u").(*Unqueue).Input(0)
+	if a := testing.AllocsPerRun(100, func() { in.Pull() }); a != 0 {
+		t.Errorf("%v allocations per pull, want 0", a)
+	}
+}
+
 func TestStrideSchedBadConfig(t *testing.T) {
 	for _, cfg := range []string{"StrideSched", "StrideSched(0)", "StrideSched(x)"} {
 		_, err := core.BuildFromText(

@@ -29,17 +29,8 @@ type QueueState struct {
 func (e *Queue) SaveState() interface{} {
 	e.structMu.Lock()
 	defer e.structMu.Unlock()
-	r := e.ring.Load()
-	var ps []*packet.Packet
-	for {
-		p := r.pop()
-		if p == nil {
-			break
-		}
-		ps = append(ps, p)
-	}
 	return &QueueState{
-		Packets:   ps,
+		Packets:   e.drain(),
 		Drops:     atomic.LoadInt64(&e.Drops),
 		Enqueued:  atomic.LoadInt64(&e.Enqueued),
 		HighWater: atomic.LoadInt64(&e.HighWater),
@@ -48,7 +39,8 @@ func (e *Queue) SaveState() interface{} {
 
 // RestoreState adopts a drained queue's packets and counters. The new
 // queue's own capacity governs: packets beyond it are tail-dropped and
-// counted, exactly as if they had arrived after a shrink.
+// counted, exactly as if they had arrived after a shrink. Packets that
+// arrive wake the queue's consumer like a push.
 func (e *Queue) RestoreState(state interface{}) error {
 	st, ok := state.(*QueueState)
 	if !ok {
@@ -59,23 +51,14 @@ func (e *Queue) RestoreState(state interface{}) error {
 	atomic.StoreInt64(&e.Drops, st.Drops)
 	atomic.StoreInt64(&e.Enqueued, st.Enqueued)
 	atomic.StoreInt64(&e.HighWater, st.HighWater)
-	old := e.ring.Load()
-	next := newPktRing(int(old.logical))
-	for old.pop() != nil {
-		// a fresh element's ring is empty; drain defensively
-	}
-	kept := int64(0)
-	for _, p := range st.Packets {
-		if !next.push(p) {
-			atomic.AddInt64(&e.Drops, 1)
-			e.Drop(p)
-			continue
-		}
-		kept++
-	}
+	next := newPktRing(e.Capacity())
+	kept := e.fill(next, st.Packets)
 	e.ring.Store(next)
-	if kept > atomic.LoadInt64(&e.HighWater) {
-		atomic.StoreInt64(&e.HighWater, kept)
+	if int64(kept) > atomic.LoadInt64(&e.HighWater) {
+		atomic.StoreInt64(&e.HighWater, int64(kept))
+	}
+	if kept > 0 && e.consumer != nil {
+		e.consumer.Wake()
 	}
 	return nil
 }

@@ -64,7 +64,7 @@ func AdaptiveBench(w io.Writer) error {
 		devs[i] = &memDevice{name: itf.Device}
 		env["device:"+itf.Device] = devs[i]
 	}
-	rt, err := core.Build(g, elements.NewRegistry(), core.BuildOptions{Env: env, Burst: 1})
+	rt, err := core.Build(g, elements.NewRegistry(), modelOptions(env))
 	if err != nil {
 		return err
 	}
@@ -145,7 +145,7 @@ func AdaptiveBench(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	next, err := core.Build(ng, reg, core.BuildOptions{Env: env, Burst: 1})
+	next, err := core.Build(ng, reg, modelOptions(env))
 	if err != nil {
 		return err
 	}

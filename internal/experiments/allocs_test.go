@@ -47,7 +47,7 @@ func TestForwardingAllocatesNothing(t *testing.T) {
 		}, burst},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rt, devs, err := buildOnMemDevices(c.text, c.name, c.passes, ifs, c.burst)
+			rt, devs, err := buildOnMemDevices(c.text, c.name, c.passes, ifs, core.BuildOptions{Burst: c.burst})
 			if err != nil {
 				t.Fatal(err)
 			}

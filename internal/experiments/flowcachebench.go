@@ -80,7 +80,7 @@ func runFlowCachePoint(text, variant string,
 	apply func(g *graph.Router, reg *core.Registry) error,
 	ifs []iprouter.Interface, trace []*packet.Packet) (FlowCachePoint, error) {
 	pt := FlowCachePoint{Variant: variant}
-	rt, devs, err := buildOnMemDevices(text, "flowcachebench", apply, ifs, 1)
+	rt, devs, err := buildOnMemDevices(text, "flowcachebench", apply, ifs, modelOptions(nil))
 	if err != nil {
 		return pt, err
 	}

@@ -139,7 +139,7 @@ func runFusionPoint(text, variant string,
 	apply func(g *graph.Router, reg *core.Registry) error,
 	ifs []iprouter.Interface, trace []*packet.Packet) (FusionPoint, error) {
 	pt := FusionPoint{Variant: variant}
-	rt, devs, err := buildOnMemDevices(text, "fusionbench", apply, ifs, 1)
+	rt, devs, err := buildOnMemDevices(text, "fusionbench", apply, ifs, modelOptions(nil))
 	if err != nil {
 		return pt, err
 	}

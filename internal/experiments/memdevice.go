@@ -7,6 +7,7 @@ import (
 	"repro/internal/iprouter"
 	"repro/internal/lang"
 	"repro/internal/packet"
+	"repro/internal/simcpu"
 )
 
 // memDevice is an in-memory elements.Device: a preloaded RX queue and a
@@ -52,12 +53,19 @@ func (d *memDevice) TxEnqueueBatch(ps []*packet.Packet) int {
 func (d *memDevice) TxRoom() bool { return true }
 func (d *memDevice) TxClean() int { return 0 }
 
+// modelOptions build a sweep that counts model cycles: with the cost
+// model attached every task runs every round, as in the modeled Click,
+// so idle ToDevices (which would sleep) charge their empty-queue checks.
+func modelOptions(env map[string]interface{}) core.BuildOptions {
+	return core.BuildOptions{CPU: simcpu.New(simcpu.P0), Env: env, Burst: 1}
+}
+
 // buildOnMemDevices parses a configuration over ifs, applies the passes
-// (if any) and builds the router on one memDevice per interface, with
-// ARP already resolved for every attached host, as after the first
-// exchange on a live link.
+// (if any) and builds the router with opts on one memDevice per
+// interface, with ARP already resolved for every attached host, as after
+// the first exchange on a live link.
 func buildOnMemDevices(text, name string, apply func(g *graph.Router, reg *core.Registry) error,
-	ifs []iprouter.Interface, burst int) (*core.Router, []*memDevice, error) {
+	ifs []iprouter.Interface, opts core.BuildOptions) (*core.Router, []*memDevice, error) {
 	g, err := lang.ParseRouter(text, name)
 	if err != nil {
 		return nil, nil, err
@@ -68,13 +76,13 @@ func buildOnMemDevices(text, name string, apply func(g *graph.Router, reg *core.
 			return nil, nil, err
 		}
 	}
-	env := map[string]interface{}{}
+	opts.Env = map[string]interface{}{}
 	devs := make([]*memDevice, len(ifs))
 	for i, itf := range ifs {
 		devs[i] = &memDevice{name: itf.Device}
-		env["device:"+itf.Device] = devs[i]
+		opts.Env["device:"+itf.Device] = devs[i]
 	}
-	rt, err := core.Build(g, reg, core.BuildOptions{Env: env, Burst: burst})
+	rt, err := core.Build(g, reg, opts)
 	if err != nil {
 		return nil, nil, err
 	}

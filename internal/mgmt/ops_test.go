@@ -113,6 +113,23 @@ func BenchmarkPlaneOps(b *testing.B) {
 	}
 }
 
+// BenchmarkIdleRound times one task round of an idle fleet at three
+// sizes. Every tenant's PollDevice polls its empty device; its ToDevice
+// sleeps on its empty Queue and is not run.
+func BenchmarkIdleRound(b *testing.B) {
+	for _, n := range []int{8, 64, 256} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			s := fleet(b, n).Scheduler()
+			s.RunRound()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RunRound()
+			}
+		})
+	}
+}
+
 // TestPlaneOpsAllocsFleetIndependent checks the O(tenant) claim where
 // it can be checked exactly: the allocations of a delete+create, a swap
 // and a capacity write must not grow with the fleet. (At a plane that
