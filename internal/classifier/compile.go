@@ -23,8 +23,8 @@ type matchFn func(data []byte, steps int) (Target, int)
 // Compile lowers a program. The program should already be optimized.
 func Compile(pr *Program) *Compiled {
 	c := &Compiled{prog: pr}
-	c.unchecked = c.compileTarget(pr.Entry, false, map[Target]matchFn{})
-	c.checked = c.compileTarget(pr.Entry, true, map[Target]matchFn{})
+	c.unchecked = c.compileTarget(pr.Entry, false, make(map[Target]matchFn, len(pr.Exprs)))
+	c.checked = c.compileTarget(pr.Entry, true, make(map[Target]matchFn, len(pr.Exprs)))
 	return c
 }
 

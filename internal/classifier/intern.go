@@ -64,19 +64,18 @@ func NewInternTable() *InternTable {
 // table mints.
 const SharedClassPrefix = "FusedShared_"
 
-// Intern returns the canonical entry for prog, creating (and
-// compiling) it on first sight. The caller must treat prog as frozen
-// from this point; equal programs return the identical entry.
-func (t *InternTable) Intern(prog *Program) *InternEntry {
-	key := prog.String()
+// Intern returns the canonical entry for prog, whose text the caller
+// holds (text == prog.String()), compiling it only on first sight.
+// Equal programs return the identical entry; prog is frozen from here.
+func (t *InternTable) Intern(text string, prog *Program) *InternEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.lookups++
-	if e, ok := t.byKey[key]; ok {
+	if e, ok := t.byKey[text]; ok {
 		t.hits++
 		return e
 	}
-	sum := sha256.Sum256([]byte(key))
+	sum := sha256.Sum256([]byte(text))
 	// 48 hash bits are plenty for a process-local namespace; extend on
 	// the (astronomical) chance of a truncated-digest collision.
 	name := ""
@@ -92,7 +91,7 @@ func (t *InternTable) Intern(prog *Program) *InternEntry {
 		Compiled: Compile(prog),
 		Nodes:    len(prog.Exprs),
 	}
-	t.byKey[key] = e
+	t.byKey[text] = e
 	t.byName[name] = e
 	return e
 }

@@ -17,6 +17,9 @@ func internTestProgram(t *testing.T, rules []string) *Program {
 	return p
 }
 
+// intern interns p under its canonical text.
+func intern(table *InternTable, p *Program) *InternEntry { return table.Intern(p.String(), p) }
+
 func TestInternTableSharedFDD(t *testing.T) {
 	table := NewInternTable()
 	rules := []string{"allow udp && dst port 53", "deny all"}
@@ -24,17 +27,17 @@ func TestInternTableSharedFDD(t *testing.T) {
 	b := internTestProgram(t, rules) // equal program, distinct object
 	c := internTestProgram(t, []string{"allow tcp && dst port 80", "deny all"})
 
-	ea := table.Intern(a)
+	ea := intern(table, a)
 	if !strings.HasPrefix(ea.Name, SharedClassPrefix) {
 		t.Errorf("interned name %q lacks prefix %q", ea.Name, SharedClassPrefix)
 	}
 	if ea.Compiled == nil || ea.Nodes != len(a.Exprs) {
 		t.Errorf("entry not populated: %+v", ea)
 	}
-	if eb := table.Intern(b); eb != ea {
+	if eb := intern(table, b); eb != ea {
 		t.Error("equal programs interned to different entries")
 	}
-	ec := table.Intern(c)
+	ec := intern(table, c)
 	if ec == ea || ec.Name == ea.Name {
 		t.Error("distinct programs share an entry")
 	}
@@ -45,8 +48,8 @@ func TestInternTableSharedFDD(t *testing.T) {
 	// Names are content-derived: a fresh table interning the same
 	// program in a different order mints the same name.
 	other := NewInternTable()
-	other.Intern(c)
-	if got := other.Intern(internTestProgram(t, rules)); got.Name != ea.Name {
+	intern(other, c)
+	if got := intern(other, internTestProgram(t, rules)); got.Name != ea.Name {
 		t.Errorf("content-addressed name differs across tables: %q vs %q", got.Name, ea.Name)
 	}
 
@@ -70,7 +73,7 @@ func TestInternTableSharedFDD(t *testing.T) {
 		t.Errorf("stats after releases = %+v, want empty residency", s)
 	}
 	// Zero-referenced entries stay canonical and revive as hits.
-	if e := table.Intern(internTestProgram(t, rules)); e != ea {
+	if e := intern(table, internTestProgram(t, rules)); e != ea {
 		t.Error("released entry was not revived")
 	}
 	if s := table.Stats(); s.Hits == 0 {
@@ -86,7 +89,7 @@ func TestInternStatsMatchRecount(t *testing.T) {
 	var names []string
 	for port := 0; port < 4; port++ {
 		rules := []string{fmt.Sprintf("allow udp && dst port %d", 50+port), "deny all"}
-		names = append(names, table.Intern(internTestProgram(t, rules)).Name)
+		names = append(names, intern(table, internTestProgram(t, rules)).Name)
 	}
 	names = append(names, "FusedShared_unknown")
 	r := rand.New(rand.NewSource(1))

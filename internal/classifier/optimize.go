@@ -116,7 +116,7 @@ func (pr *Program) mergeCommonSubtrees() bool {
 	}
 	// Process in reverse index order; the builder and renumber keep
 	// edges forward, so children have higher indices than parents.
-	canon := map[key]Target{}
+	canon := make(map[key]Target, len(pr.Exprs))
 	remap := map[Target]Target{}
 	changed := false
 	for i := len(pr.Exprs) - 1; i >= 0; i-- {
@@ -145,7 +145,7 @@ func (pr *Program) mergeCommonSubtrees() bool {
 // a lower number than one of its predecessors).
 func (pr *Program) renumber() {
 	visited := make([]bool, len(pr.Exprs))
-	var post []int
+	post := make([]int, 0, len(pr.Exprs))
 	var visit func(t Target)
 	visit = func(t Target) {
 		if t.IsLeaf() || visited[t] {

@@ -191,11 +191,11 @@ func writeTarget(b *strings.Builder, t Target) {
 	b.WriteString(strconv.Itoa(int(t)))
 }
 
-// String renders the program in the human-readable form the
-// click-fastclassifier harness parses. The rendering is hand-rolled
-// rather than Fprintf-formatted: programs are serialized on every
-// archive write and intern-table lookup, which puts this on the
-// control plane's admission path.
+// String renders the program in the human-readable form the programs
+// archive members carry and ParseProgram reads. The rendering is
+// hand-rolled rather than Fprintf-formatted: programs are serialized on
+// every archive write, whose text also keys the intern table, which
+// puts this on the control plane's admission path.
 func (pr *Program) String() string {
 	var b strings.Builder
 	b.Grow(40 + 48*len(pr.Exprs))
@@ -224,10 +224,9 @@ func (pr *Program) String() string {
 	return b.String()
 }
 
-// ParseProgram parses Program.String output. click-fastclassifier runs
-// the configuration's classifiers in a harness, has them print their
-// decision trees in this form, and parses the result (§4) — so
-// classifier syntax changes need be implemented exactly once.
+// ParseProgram parses Program.String output: the programs an archive
+// carries, which the driver compiles and links when it reads a
+// configuration back (§5.2).
 func ParseProgram(s string) (*Program, error) {
 	lines := strings.Split(strings.TrimSpace(s), "\n")
 	if len(lines) == 0 {

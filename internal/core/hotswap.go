@@ -52,7 +52,7 @@ func (rt *Router) Hotswap(next *Router) error {
 		name     string
 		from, to Element
 	}
-	var pairs []pair
+	pairs := make([]pair, 0, len(next.elements))
 	for _, e := range next.elements {
 		name := e.base().name
 		old := rt.Find(name)

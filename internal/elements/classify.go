@@ -141,20 +141,25 @@ func (e *IPFilter) Configure(args []string) error {
 // inlined constants (Figure 3b). Instances are created through dynamic
 // specs registered by the tool, never named directly in hand-written
 // configurations.
-type FastClassifier struct{ classifierBase }
-
-// NewFastClassifier wraps a compiled program as an element factory.
-func NewFastClassifier(c *classifier.Compiled) func() core.Element {
-	return func() core.Element { return &FastClassifier{compiledBase(c)} }
+type FastClassifier struct {
+	classifierBase
+	compiled func() *classifier.Compiled
 }
 
-func compiledBase(c *classifier.Compiled) classifierBase {
-	return classifierBase{prog: c.Program(), match: c.Match, stepCost: costFastClassStep}
+// NewFastClassifier wraps a decision tree as an element factory. The
+// matcher comes from compiled, called first when an instance is
+// configured: a class never instantiated is never compiled.
+func NewFastClassifier(prog *classifier.Program, compiled func() *classifier.Compiled) func() core.Element {
+	return func() core.Element { return &FastClassifier{classifierBase{prog: prog}, compiled} }
 }
 
-// Configure ignores arguments: the compiled tree is baked in, exactly
-// as the generated C++ classes ignore their configuration strings.
-func (e *FastClassifier) Configure(args []string) error { return nil }
+// Configure installs the compiled matcher and ignores arguments: the
+// tree is baked in, exactly as the generated C++ classes ignore their
+// configuration strings.
+func (e *FastClassifier) Configure(args []string) error {
+	e.match, e.stepCost = e.compiled().Match, costFastClassStep
+	return nil
+}
 
 // FusedClassifier is the runtime body of the FusedClassifier_N classes
 // click-fuse generates: one decision diagram standing in for a whole
@@ -162,12 +167,10 @@ func (e *FastClassifier) Configure(args []string) error { return nil }
 // ports. The matcher is identical to FastClassifier's — the win comes
 // from the composed, specialized diagram and the per-stage dispatch it
 // removes — so it keeps FastClassifier's calibrated cost model.
-type FusedClassifier struct {
-	FastClassifier
-}
+type FusedClassifier struct{ FastClassifier }
 
 // NewFusedClassifier wraps a composed decision diagram as an element
-// factory for a generated fused class.
-func NewFusedClassifier(c *classifier.Compiled) func() core.Element {
-	return func() core.Element { return &FusedClassifier{FastClassifier{compiledBase(c)}} }
+// factory for a generated fused class, as NewFastClassifier does.
+func NewFusedClassifier(prog *classifier.Program, compiled func() *classifier.Compiled) func() core.Element {
+	return func() core.Element { return &FusedClassifier{FastClassifier{classifierBase{prog: prog}, compiled}} }
 }

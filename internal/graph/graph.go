@@ -125,6 +125,17 @@ func New() *Router {
 	return &Router{byName: map[string]int{}, Archive: map[string][]byte{}}
 }
 
+// FromElements returns a graph of elems, with distinct names, and no
+// connections or archive. The graph keeps the slice.
+func FromElements(elems []Element) *Router {
+	r := &Router{Elements: make([]*Element, len(elems)), byName: make(map[string]int, len(elems))}
+	for i := range elems {
+		r.Elements[i] = &elems[i]
+		r.byName[elems[i].Name] = i
+	}
+	return r
+}
+
 // NumElements returns the number of live elements.
 func (r *Router) NumElements() int {
 	n := 0

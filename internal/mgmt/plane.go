@@ -5,10 +5,10 @@
 // control surface, and an HTTP/JSON API (http.go) exposes it.
 //
 // Control operations are incremental: a tenant create/swap/delete
-// parses and optimizes only the affected tenant's configuration
-// (cached by config hash with its admission footprint, so re-admitting
-// a known config skips even that and copies nothing), builds just its
-// subgraph, and patches it into the running combined router at a
+// parses, optimizes and plans only the affected tenant's configuration
+// (cached by text as a template with its admission footprint, so
+// re-admitting a known config only instantiates the template), builds
+// just its subgraph, and patches it into the running combined router at a
 // scheduler quiescent point (Scheduler.SpliceTenant / SwapTenant /
 // RemoveTenant) — O(tenant) per operation, never a rebuild of the
 // fleet. The plane keeps each tenant's spliced subrouter as the handle
@@ -38,7 +38,6 @@
 package mgmt
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"slices"
 	"sort"
@@ -155,16 +154,16 @@ type PlaneReport struct {
 	Sharing classifier.InternStats `json:"sharing"`
 }
 
-// cachedConfig is one parsed, fused and interned configuration, keyed
-// by the config text's hash, with the footprint admission checks. It is
-// tenant-neutral and never modified: every tenant running the text
-// shares it, and device names are scoped on each build's own combined
-// copy (scopeDevices).
+// cachedConfig is the template of one configuration text: the parsed,
+// fused and interned graph planned for assembly (core.Plan), with the
+// footprint admission checks. It is tenant-neutral and never modified;
+// every tenant running the text instantiates it (buildSub). The fused
+// graph's archive, which no plane path reads, is not kept.
 type cachedConfig struct {
-	graph    *graph.Router
+	plan     *core.Plan
 	shared   []string // shared fused-class names the config uses
 	devices  []string // device names, in first-use order
-	elements int      // live elements
+	devElems []int    // plan indices of the elements binding a device
 	queues   int      // sum of Queue capacities
 }
 
@@ -173,7 +172,6 @@ type tenant struct {
 	id       string
 	config   *cachedConfig
 	sub      *core.Router // the spliced subrouter: the removal handle
-	text     string       // original config text
 	limits   Limits
 	swaps    int
 	createNS int64
@@ -189,7 +187,7 @@ type Plane struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
-	cache   map[[sha256.Size]byte]*cachedConfig
+	cache   map[string]*cachedConfig // by configuration text
 	devs    map[string]interface{}
 	sched   *core.Scheduler
 	table   *classifier.InternTable
@@ -218,7 +216,7 @@ func NewPlane(opts Options) (*Plane, error) {
 		opts:    opts,
 		reg:     opts.Registry,
 		tenants: map[string]*tenant{},
-		cache:   map[[sha256.Size]byte]*cachedConfig{},
+		cache:   map[string]*cachedConfig{},
 		devs:    map[string]interface{}{},
 		table:   classifier.NewInternTable(),
 	}
@@ -263,16 +261,14 @@ func validTenantID(id string) error {
 	return nil
 }
 
-// parsedConfig parses and optimizes one configuration text, keyed by
-// its hash: a config the plane has seen before — the same tenant
-// re-swapped, or a different tenant running the identical ruleset —
-// costs one map lookup instead of a parse, a fusion pass, and a
-// diagram build. The graph's fused classifiers are interned in the
-// plane-wide table so equal diagrams are shared tenant-to-tenant.
-// Callers hold p.mu.
+// parsedConfig returns the template of one configuration text. A text
+// the plane has seen before — the same tenant re-swapped, or another
+// tenant on the identical ruleset — costs one map lookup. A new one is
+// parsed, fused and planned once; its fused programs are interned in
+// the plane-wide table, which shares equal diagrams tenant-to-tenant
+// and compiles each only once. Callers hold p.mu.
 func (p *Plane) parsedConfig(text string) (*cachedConfig, error) {
-	h := sha256.Sum256([]byte(text))
-	if c, ok := p.cache[h]; ok {
+	if c, ok := p.cache[text]; ok {
 		p.stats.cacheHits++
 		return c, nil
 	}
@@ -288,14 +284,16 @@ func (p *Plane) parsedConfig(text string) (*cachedConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &cachedConfig{graph: g, shared: shared, elements: g.NumElements()}
-	for i, e := range g.Elements {
-		if g.Dead(i) {
-			continue
-		}
+	g.Archive = nil
+	plan, err := core.NewPlan(g, p.reg)
+	if err != nil {
+		return nil, err
+	}
+	c := &cachedConfig{plan: plan, shared: shared}
+	for i, e := range plan.Graph.Elements {
+		args := lang.SplitConfig(e.Config)
 		if e.Class == "Queue" {
 			cap := elements.DefaultQueueCapacity
-			args := lang.SplitConfig(e.Config)
 			if len(args) >= 1 && strings.TrimSpace(args[0]) != "" {
 				n, err := strconv.Atoi(strings.TrimSpace(args[0]))
 				if err != nil || n <= 0 {
@@ -305,41 +303,26 @@ func (p *Plane) parsedConfig(text string) (*cachedConfig, error) {
 			}
 			c.queues += cap
 		}
-		if args := deviceArgs(e); args != nil {
+		if elements.BindsDevice(e.Class) && len(args) > 0 && strings.TrimSpace(args[0]) != "" {
+			c.devElems = append(c.devElems, i)
 			if dev := strings.TrimSpace(args[0]); !slices.Contains(c.devices, dev) {
 				c.devices = append(c.devices, dev)
 			}
 		}
 	}
-	p.cache[h] = c
+	p.cache[text] = c
 	return c, nil
 }
 
-// deviceArgs returns the split configuration of an element that binds
-// a device (its first argument), or nil.
-func deviceArgs(e *graph.Element) []string {
-	if !elements.BindsDevice(e.Class) {
+// scope is t's argument hook for core.Plan.Instantiate: a device
+// becomes "tenant:dev", so two tenants' "eth0" never collide.
+func (t *tenant) scope(i int, args []string) []string {
+	if !slices.Contains(t.config.devElems, i) {
 		return nil
 	}
-	args := lang.SplitConfig(e.Config)
-	if len(args) == 0 || strings.TrimSpace(args[0]) == "" {
-		return nil
-	}
-	return args
-}
-
-// scopeDevices rewrites every device reference in a combined graph to
-// the tenant-scoped "tenant:dev" form — the tenant is the element's name
-// prefix — so two tenants' "eth0" never collide in the router
-// environment.
-func scopeDevices(g *graph.Router) {
-	for i, e := range g.Elements {
-		if args := deviceArgs(e); args != nil && !g.Dead(i) {
-			id, _, _ := strings.Cut(e.Name, "/")
-			args[0] = id + ":" + strings.TrimSpace(args[0])
-			e.Config = strings.Join(args, ", ")
-		}
-	}
+	scoped := slices.Clone(args)
+	scoped[0] = t.id + ":" + strings.TrimSpace(args[0])
+	return scoped
 }
 
 // admit checks one tenant configuration against its limits. The
@@ -352,13 +335,13 @@ func (p *Plane) admit(id, text string, lim Limits) (*tenant, error) {
 		return nil, fmt.Errorf("mgmt: tenant %s: %w", id, err)
 	}
 	lim = lim.withDefaults()
-	if c.elements > lim.MaxElements {
-		return nil, fmt.Errorf("mgmt: tenant %s: %d elements exceeds limit %d", id, c.elements, lim.MaxElements)
+	if n := len(c.plan.Graph.Elements); n > lim.MaxElements {
+		return nil, fmt.Errorf("mgmt: tenant %s: %d elements exceeds limit %d", id, n, lim.MaxElements)
 	}
 	if c.queues > lim.MaxQueueCapacity {
 		return nil, fmt.Errorf("mgmt: tenant %s: queue capacity %d exceeds budget %d", id, c.queues, lim.MaxQueueCapacity)
 	}
-	return &tenant{id: id, config: c, text: text, limits: lim}, nil
+	return &tenant{id: id, config: c, limits: lim}, nil
 }
 
 // sortedIDs returns the admitted tenant IDs in sorted order — the
@@ -382,13 +365,20 @@ func (p *Plane) combinedGraph() (*graph.Router, error) {
 	ids := p.sortedIDs()
 	inputs := make([]opt.RouterInput, 0, len(ids))
 	for _, id := range ids {
-		inputs = append(inputs, opt.RouterInput{Name: id, Config: p.tenants[id].config.graph})
+		inputs = append(inputs, opt.RouterInput{Name: id, Config: p.tenants[id].config.plan.Graph})
 	}
 	g, err := opt.Combine(inputs, nil)
-	if err == nil {
-		scopeDevices(g)
+	if err != nil {
+		return nil, err
 	}
-	return g, err
+	for _, id := range ids {
+		t := p.tenants[id]
+		for _, i := range t.config.devElems {
+			e := g.Element(g.FindElement(tenantPrefix(id) + t.config.plan.Graph.Elements[i].Name))
+			e.Config = strings.Join(t.scope(i, lang.SplitConfig(e.Config)), ", ")
+		}
+	}
+	return g, nil
 }
 
 // CombinedGraph exports the canonical combined configuration graph
@@ -399,40 +389,32 @@ func (p *Plane) CombinedGraph() (*graph.Router, error) {
 	return p.combinedGraph()
 }
 
-// buildSub assembles one tenant's subrouter: its graph alone through
-// the same combine pass (for the name prefix) and the same Build path,
-// with only its own devices in the environment. This is the O(tenant)
-// unit of work every incremental operation is built from.
+// buildSub provisions a tenant's devices and instantiates its template
+// under the tenant's prefix and device scope: the O(tenant) unit of
+// work every incremental operation is built from, with no graph pass.
+// Callers hold p.mu.
 func (p *Plane) buildSub(t *tenant) (*core.Router, error) {
-	g, err := opt.Combine([]opt.RouterInput{{Name: t.id, Config: t.config.graph}}, nil)
-	if err != nil {
-		return nil, err
-	}
-	scopeDevices(g)
+	env := p.provisionDevices(t)
+	return t.config.plan.Instantiate(tenantPrefix(t.id), t.scope, core.BuildOptions{Burst: p.opts.Burst, Env: env})
+}
+
+// provisionDevices binds a tenant's devices into the environment map
+// and returns the tenant's own part of it. Callers hold p.mu.
+func (p *Plane) provisionDevices(t *tenant) map[string]interface{} {
 	env := make(map[string]interface{}, len(t.config.devices))
 	for _, dev := range t.config.devices {
 		key := "device:" + t.id + ":" + dev
-		if obj, ok := p.devs[key]; ok {
-			env[key] = obj
-		}
-	}
-	return core.Build(g, p.reg, core.BuildOptions{Burst: p.opts.Burst, Env: env})
-}
-
-// provisionDevices binds a tenant's devices into the environment map.
-// Callers hold p.mu.
-func (p *Plane) provisionDevices(t *tenant) {
-	for _, dev := range t.config.devices {
-		scoped := t.id + ":" + dev
 		var obj interface{}
 		if p.opts.Devices != nil {
 			obj = p.opts.Devices(t.id, dev)
 		}
 		if obj == nil {
-			obj = &elements.IdleDevice{Name: scoped}
+			obj = &elements.IdleDevice{Name: key[len("device:"):]}
 		}
-		p.devs["device:"+scoped] = obj
+		p.devs[key] = obj
+		env[key] = obj
 	}
+	return env
 }
 
 func (p *Plane) dropDevices(t *tenant) {
@@ -477,7 +459,6 @@ func (p *Plane) Create(id, configText string, lim Limits) error {
 		return err
 	}
 	p.tenants[id] = t
-	p.provisionDevices(t)
 	t.sub, err = p.buildSub(t)
 	if err == nil {
 		p.sched.SyncDo(func() { err = p.sched.SpliceTenant(t.sub) })
@@ -516,7 +497,6 @@ func (p *Plane) Swap(id, configText string) error {
 	t.createNS = old.createNS
 	p.tenants[id] = t
 	p.dropDevices(old)
-	p.provisionDevices(t)
 	t.sub, err = p.buildSub(t)
 	if err == nil {
 		p.sched.SyncDo(func() { _, err = p.sched.SwapTenant(old.sub, t.sub) })

@@ -25,8 +25,8 @@ var classifierClasses = map[string]bool{
 //
 //   - find the configuration's classification elements and combine
 //     adjacent Classifiers to improve optimization possibilities;
-//   - extract their decision trees by instantiating each classifier in
-//     a harness configuration (so classifier syntax is implemented
+//   - extract their decision trees by instantiating and configuring
+//     each classifier on its own (so classifier syntax is implemented
 //     exactly once, in the classifiers themselves) and reading the tree
 //     the element built;
 //   - generate one specialized, compiled class per distinct tree
@@ -53,9 +53,8 @@ func FastClassifier(g *graph.Router, reg *core.Registry) error {
 	}
 
 	type genClass struct {
-		name     string
-		program  *classifier.Program
-		compiled *classifier.Compiled
+		name    string
+		program *classifier.Program
 	}
 	var gens []*genClass
 	var programsDoc strings.Builder
@@ -77,11 +76,7 @@ func FastClassifier(g *graph.Router, reg *core.Registry) error {
 			}
 		}
 		if gen == nil {
-			gen = &genClass{
-				name:     "FastClassifier@@" + e.Name,
-				program:  prog,
-				compiled: classifier.Compile(prog),
-			}
+			gen = &genClass{name: "FastClassifier@@" + e.Name, program: prog}
 			gens = append(gens, gen)
 			goName := strings.NewReplacer("@", "_", "/", "_").Replace(gen.name)
 			sources["fastclassifier/"+goName+".go"] = []byte(classifier.GenerateGoSource(goName, prog))
@@ -94,7 +89,7 @@ func FastClassifier(g *graph.Router, reg *core.Registry) error {
 	}
 
 	for _, gen := range gens {
-		registerFastClassifierSpec(reg, gen.name, gen.compiled)
+		registerClassifierSpec(reg, gen.name, gen.program, false, nil)
 	}
 	names := make([]string, 0, len(sources))
 	for n := range sources {
@@ -113,17 +108,18 @@ func FastClassifier(g *graph.Router, reg *core.Registry) error {
 	return nil
 }
 
-// extractProgram runs a classifier in a harness configuration and reads
-// back its decision tree. The harness contains only the classifier plus
-// generated boilerplate, avoiding side effects from running the input
-// configuration (§4).
+// extractProgram instantiates a classifier on its own and reads back
+// its decision tree, so classifier syntax is implemented exactly once,
+// in the classifiers themselves (§4). The element is only configured:
+// nothing of the input configuration runs, and no router is built
+// around it.
+//
 // extractCache memoizes extracted programs for the builtin classifier
 // classes, whose decision tree is a pure function of (class, config) —
 // unlike archive-generated classes, whose meaning depends on the
-// registry they ride in. Extraction builds a harness router and
-// round-trips the program through text, which is the dominant cost of
-// re-optimizing a configuration whose classifiers have been seen
-// before (the management plane admits hundreds of those).
+// registry they ride in. It is what re-optimizing a configuration whose
+// classifiers have been seen before costs nothing for (the management
+// plane admits hundreds of those).
 var extractCache sync.Map
 
 func extractProgram(class, config string, reg *core.Registry) (*classifier.Program, error) {
@@ -133,49 +129,48 @@ func extractProgram(class, config string, reg *core.Registry) (*classifier.Progr
 			return v.(*classifier.Program).Clone(), nil
 		}
 	}
-	_, nout, ok := reg.PortCounts(class, config)
-	if !ok {
+	spec, ok := reg.Lookup(class)
+	if !ok || spec.Make == nil {
 		return nil, fmt.Errorf("unknown classifier class %q", class)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "harness :: %s(%s);\n", class, config)
-	fmt.Fprintf(&b, "Idle -> harness;\n")
-	for p := 0; p < nout.Min; p++ {
-		fmt.Fprintf(&b, "harness [%d] -> Discard;\n", p)
-	}
-	rt, err := core.BuildFromText(b.String(), "fastclassifier-harness", reg, core.BuildOptions{})
-	if err != nil {
+	e := spec.Make()
+	if err := e.Configure(lang.SplitConfig(config)); err != nil {
 		return nil, err
 	}
-	h := rt.Find("harness")
-	progEl, ok := h.(interface{ Program() *classifier.Program })
+	progEl, ok := e.(interface{ Program() *classifier.Program })
 	if !ok {
 		return nil, fmt.Errorf("class %q does not expose a decision tree", class)
 	}
-	// Round-trip through the textual form — the real tool parses the
-	// harness's printed output, so we do too, keeping that path honest.
-	prog, err := classifier.ParseProgram(progEl.Program().String())
-	if err != nil {
-		return nil, fmt.Errorf("reparsing harness output: %v", err)
-	}
-	prog.Optimize()
+	prog := progEl.Program() // the element's own, already optimized
 	if classifierClasses[class] {
 		extractCache.Store(cacheKey, prog.Clone())
 	}
 	return prog, nil
 }
 
-// registerFastClassifierSpec registers the dynamic spec for a generated
-// class.
-func registerFastClassifierSpec(reg *core.Registry, name string, comp *classifier.Compiled) {
-	nout := comp.Program().NOutputs
+// registerClassifierSpec registers the dynamic spec of a generated
+// classifier class over prog, a fused one if fused is set. compiled
+// supplies the matcher; nil compiles prog when the first instance is
+// configured. Fused classes keep the fastclassifier calibration: the
+// fused matcher is byte-for-byte FastClassifier's, so Figure 8/9
+// calibration is unchanged and the measured win comes from removed
+// per-stage dispatch and the smaller diagram.
+func registerClassifierSpec(reg *core.Registry, name string, prog *classifier.Program, fused bool, compiled func() *classifier.Compiled) {
+	if compiled == nil {
+		compiled = sync.OnceValue(func() *classifier.Compiled { return classifier.Compile(prog) })
+	}
+	newElem := elements.NewFastClassifier
+	if fused {
+		newElem = elements.NewFusedClassifier
+	}
+	nout := prog.NOutputs
 	reg.RegisterDynamic(&core.Spec{
 		Name:       name,
 		Processing: "h/h",
 		Ports: func(string) (graph.PortRange, graph.PortRange) {
 			return graph.Exactly(1), graph.Exactly(nout)
 		},
-		Make:       elements.NewFastClassifier(comp),
+		Make:       newElem(prog, compiled),
 		WorkCycles: fastClassWorkCycles,
 	})
 }
@@ -320,36 +315,25 @@ func mergeClassifierPair(g *graph.Router, up, p int, down int) bool {
 	return true
 }
 
-// InstallFastClassifiers re-registers generated classifier specs from an
-// archive (the driver-side analogue of compiling and linking the
-// attached source).
-func InstallFastClassifiers(g *graph.Router, reg *core.Registry) error {
-	data, ok := g.Archive["fastclassifier/programs"]
-	if !ok {
-		return nil
-	}
-	progs, err := parseProgramsArchive(data)
-	if err != nil {
-		return fmt.Errorf("opt: fastclassifier: %v", err)
-	}
-	for _, np := range progs {
-		registerFastClassifierSpec(reg, np.name, classifier.Compile(np.program))
-	}
-	return nil
-}
-
 // InstallArchive registers all dynamic specifications an optimized
 // configuration carries. The click driver calls this after unpacking a
 // configuration archive, mirroring Click's compile-and-link of attached
-// code before parsing the configuration (§5.2).
+// code before parsing the configuration (§5.2). Fused classes may wrap
+// fastclassifier output, and a devirtualized classmap may reference
+// fused classes: they install in that order.
 func InstallArchive(g *graph.Router, reg *core.Registry) error {
-	if err := InstallFastClassifiers(g, reg); err != nil {
-		return err
-	}
-	// Fused classes may wrap fastclassifier output, and a devirtualized
-	// classmap may reference fused classes: install in that order.
-	if err := InstallFused(g, reg); err != nil {
-		return err
+	for _, pass := range []string{"fastclassifier", "fuse"} {
+		data, ok := g.Archive[pass+"/programs"]
+		if !ok {
+			continue
+		}
+		progs, err := parseProgramsArchive(data)
+		if err != nil {
+			return fmt.Errorf("opt: %s: %v", pass, err)
+		}
+		for _, np := range progs {
+			registerClassifierSpec(reg, np.name, np.program, pass == "fuse", nil)
+		}
 	}
 	return InstallDevirtualized(g, reg)
 }
