@@ -92,7 +92,7 @@ func (d derivedBatch) PullBatch(port int, buf []*packet.Packet) int {
 // pushBurst is OutPort.PushBatch for more than one packet.
 func (p *OutPort) pushBurst(pkts []*packet.Packet) {
 	if p.cpu != nil {
-		if p.direct != nil {
+		if p.direct {
 			p.cpu.DirectCall()
 		} else {
 			p.cpu.IndirectCall(p.site, p.targetID)
@@ -128,7 +128,7 @@ func (p *InPort) PullBatch(buf []*packet.Packet) int {
 		return 1
 	}
 	if p.cpu != nil {
-		if p.direct != nil {
+		if p.direct {
 			p.cpu.DirectCall()
 		} else {
 			p.cpu.IndirectCall(p.site, p.targetID)

@@ -1,6 +1,7 @@
 // Package core is the Click runtime kernel: the Element interface,
-// ports with both virtual (interface) and devirtualized (direct-bound)
-// packet transfer, router assembly from a configuration graph, and the
+// ports whose packet transfer dispatches through the Element interface
+// (charged by the cost model as a virtual or, once devirtualized, a
+// direct call), router assembly from a configuration graph, and the
 // task scheduler that stands in for Click's constantly-active kernel
 // thread.
 package core
@@ -203,12 +204,11 @@ func (b *Base) MemFetch(n int) {
 }
 
 // Push is the scalar push transfer: it runs p through the element's
-// PushBatch as a burst of one. Direct bindings and callers holding an
-// Element call it; OutPort.PushBatch runs the same lines itself. The
-// slot is saved and restored around the call, so a push cycle that
-// re-enters this element (Figure 1's ICMPError -> rt loop) leaves the
-// outer burst intact for an element that reads it again after pushing
-// downstream (Tee).
+// PushBatch as a burst of one. Callers holding an Element call it;
+// OutPort.PushBatch runs the same lines itself. The slot is saved and
+// restored around the call, so a push cycle that re-enters this element
+// (Figure 1's ICMPError -> rt loop) leaves the outer burst intact for an
+// element that reads it again after pushing downstream (Tee).
 func (b *Base) Push(port int, p *packet.Packet) {
 	saved := b.one[0]
 	b.one[0] = p
@@ -217,9 +217,9 @@ func (b *Base) Push(port int, p *packet.Packet) {
 }
 
 // Pull is the scalar pull transfer: it asks the element's PullBatch for
-// a burst of one; nil means the element had nothing. Direct bindings
-// and callers holding an Element call it; InPort.Pull asks the same way
-// through a slot of its own.
+// a burst of one; nil means the element had nothing. Callers holding an
+// Element call it; InPort.Pull asks the same way through a slot of its
+// own.
 func (b *Base) Pull(port int) *packet.Packet {
 	saved := b.one[0]
 	var p *packet.Packet
@@ -253,22 +253,17 @@ func (b *Base) Configure(args []string) error {
 	return nil
 }
 
-// PushFunc is a direct-bound push handler (devirtualized transfer).
-type PushFunc func(port int, p *packet.Packet)
-
-// PullFunc is a direct-bound pull handler.
-type PullFunc func(port int) *packet.Packet
-
-// OutPort is an element output port. In virtual mode, Push dispatches
-// through an interface — the target's SimpleAction or burst transfer,
-// Go's analogue of the C++ virtual call the paper measures; the cost
-// model charges an indirect call through the simulated BTB. When the
-// configuration was devirtualized, direct holds a bound handler and the
-// model charges a conventional call.
+// OutPort is an element output port. Push dispatches through an
+// interface — the target's SimpleAction or burst transfer, Go's
+// analogue of the C++ virtual call the paper measures; the cost model
+// charges an indirect call through the simulated BTB. When the pushing
+// element's class was devirtualized, direct is set and the model
+// charges a conventional call instead; on the wall clock the port
+// dispatches like any other.
 type OutPort struct {
 	target     Element
 	targetPort int
-	direct     PushFunc
+	direct     bool
 	cpu        *simcpu.CPU
 	site       simcpu.SiteID
 	targetID   simcpu.TargetID
@@ -319,7 +314,7 @@ func (p *OutPort) PushBatch(pkts []*packet.Packet) {
 	pkt := pkts[0]
 	for {
 		if p.cpu != nil {
-			if p.direct != nil {
+			if p.direct {
 				p.cpu.DirectCall()
 			} else {
 				p.cpu.IndirectCall(p.site, p.targetID)
@@ -343,10 +338,6 @@ func (p *OutPort) PushBatch(pkts []*packet.Packet) {
 		}
 		p = &b.outputs[0]
 	}
-	if p.direct != nil {
-		p.direct(p.targetPort, pkt)
-		return
-	}
 	// Base.Push, written out to save its frame.
 	b := p.peer
 	saved := b.one[0]
@@ -360,7 +351,7 @@ func (p *OutPort) PushBatch(pkts []*packet.Packet) {
 type InPort struct {
 	source     Element
 	sourcePort int
-	direct     PullFunc
+	direct     bool
 	cpu        *simcpu.CPU
 	site       simcpu.SiteID
 	targetID   simcpu.TargetID
@@ -386,16 +377,14 @@ func (p *InPort) Source() (Element, int) { return p.source, p.sourcePort }
 // Pull requests a packet from upstream.
 func (p *InPort) Pull() *packet.Packet {
 	if p.cpu != nil {
-		if p.direct != nil {
+		if p.direct {
 			p.cpu.DirectCall()
 		} else {
 			p.cpu.IndirectCall(p.site, p.targetID)
 		}
 	}
 	var pkt *packet.Packet
-	if p.direct != nil {
-		pkt = p.direct(p.sourcePort)
-	} else if p.peer.puller.PullBatch(p.sourcePort, p.one[:]) > 0 {
+	if p.peer.puller.PullBatch(p.sourcePort, p.one[:]) > 0 {
 		pkt = p.one[0]
 	}
 	if pkt != nil && p.owner != nil {

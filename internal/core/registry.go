@@ -29,7 +29,8 @@ type Spec struct {
 	// class; data-dependent extras are charged by the element itself.
 	WorkCycles int64
 	// Devirtualized marks generated classes whose packet transfers
-	// bind direct function calls (click-devirtualize output).
+	// the cost model charges as direct calls (click-devirtualize
+	// output).
 	Devirtualized bool
 }
 

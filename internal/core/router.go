@@ -204,8 +204,8 @@ func (pl *Plan) instantiate(g *graph.Router, proc *graph.Processing, args [][]st
 
 	// Wire connections. A push connection binds the source's output
 	// port to the target; a pull connection binds the target's input
-	// port to the source. Devirtualized classes bind direct handlers
-	// instead of dispatching through the Element interface. Call sites
+	// port to the source. A port of a devirtualized class is marked
+	// direct, which the cost model charges as a direct call. Call sites
 	// and targets exist for the cost model alone.
 	var sites *simcpu.Sites
 	if opts.CPU != nil {
@@ -233,9 +233,7 @@ func (pl *Plan) instantiate(g *graph.Router, proc *graph.Processing, args [][]st
 			if sites != nil {
 				out.site, out.targetID = sites.Site(siteOf(c.From), c.FromPort, true), sites.Target(g.Elements[c.To].Class)
 			}
-			if pl.elems[c.From].spec.Devirtualized {
-				out.direct = dst.Push
-			}
+			out.direct = pl.elems[c.From].spec.Devirtualized
 		} else {
 			in.source = src
 			in.sourcePort = c.FromPort
@@ -245,9 +243,7 @@ func (pl *Plan) instantiate(g *graph.Router, proc *graph.Processing, args [][]st
 			if sites != nil {
 				in.site, in.targetID = sites.Site(siteOf(c.To), c.ToPort, false), sites.Target(g.Elements[c.From].Class)
 			}
-			if pl.elems[c.To].spec.Devirtualized {
-				in.direct = src.Pull
-			}
+			in.direct = pl.elems[c.To].spec.Devirtualized
 		}
 	}
 

@@ -14,7 +14,9 @@ import (
 // scheduler rounds under the element's own guard, and — like Click's
 // take_state — a transplanted runtime setting wins over the
 // replacement's configured value (the operator's live "write switch 2"
-// outlives a swap).
+// outlives a swap). Routes are the exception: LookupIPRoute carries its
+// counters but routes by the replacement's configured table, so a route
+// added through its "add" handler does not survive a swap.
 
 // QueueState is a Queue's transferable state: the queued packets in
 // FIFO order plus the accumulated counters.
@@ -238,5 +240,28 @@ func (e *Paint) RestoreState(state interface{}) error {
 		return fmt.Errorf("Paint: foreign state %T", state)
 	}
 	e.color = st.Color
+	return nil
+}
+
+// LookupIPRouteState is a LookupIPRoute's transferable state: its
+// counters. The route table stays the replacement's own.
+type LookupIPRouteState struct{ NoRoute, Lookups int64 }
+
+// SaveState hands the counters over.
+func (e *LookupIPRoute) SaveState() interface{} {
+	return &LookupIPRouteState{
+		NoRoute: atomic.LoadInt64(&e.NoRoute),
+		Lookups: atomic.LoadInt64(&e.Lookups),
+	}
+}
+
+// RestoreState adopts them.
+func (e *LookupIPRoute) RestoreState(state interface{}) error {
+	st, ok := state.(*LookupIPRouteState)
+	if !ok {
+		return fmt.Errorf("LookupIPRoute: foreign state %T", state)
+	}
+	atomic.StoreInt64(&e.NoRoute, st.NoRoute)
+	atomic.StoreInt64(&e.Lookups, st.Lookups)
 	return nil
 }

@@ -313,6 +313,44 @@ func TestSwapCarriesDiscardCount(t *testing.T) {
 	}
 }
 
+// TestSwapCarriesRouteCountersNotRoutes: a LookupIPRoute keeps its
+// counters across a swap, and routes by the replacement's configured
+// table, without the route added through its "add" handler.
+func TestSwapCarriesRouteCountersNotRoutes(t *testing.T) {
+	p, err := NewPlane(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := `a :: InfiniteSource(30, 1, 10.0.2.2) -> rt :: LookupIPRoute(10.0.0.0/8 0) -> d :: Discard;
+b :: InfiniteSource(20, 1, 192.168.1.1) -> rt;`
+	mustCreate(t, p, "a", cfg)
+	drain(p)
+	if err := p.WriteHandler("a", "rt", "add", "192.168.0.0/16 0"); err != nil {
+		t.Fatal(err)
+	}
+	configured := "0a000000/8 -> 0.0.0.0 port 0\n"
+	if got, _ := p.ReadHandler("a", "rt", "table"); got != configured+"c0a80000/16 -> 0.0.0.0 port 0\n" {
+		t.Fatalf("rt.table = %q before the swap", got)
+	}
+	counters := func(when string) {
+		if got := readInt(t, p, "a", "rt", "lookups"); got != 50 {
+			t.Errorf("rt.lookups = %d %s the swap, want 50", got, when)
+		}
+		if got := readInt(t, p, "a", "rt", "no_route"); got != 20 {
+			t.Errorf("rt.no_route = %d %s the swap, want 20", got, when)
+		}
+	}
+	counters("before")
+	if err := p.Swap("a", cfg); err != nil {
+		t.Fatal(err)
+	}
+	drain(p)
+	counters("after")
+	if got, _ := p.ReadHandler("a", "rt", "table"); got != configured {
+		t.Errorf("rt.table = %q after the swap, want only the configured %q", got, configured)
+	}
+}
+
 // TestPlaneOpsAllocationCeilings bounds the allocations of one
 // admission on a 64-tenant ctl-churn fleet, as TestFuseAllocationCeilings
 // bounds Fuse's: a warm create and a swap, which instantiate a cached

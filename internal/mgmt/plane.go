@@ -20,7 +20,10 @@
 // cost 1.6x, 1.6x and 1.7x their 8-tenant time, the difference being
 // the cache misses of a larger heap. Swaps keep the zero-loss hot-swap
 // semantics: same-name same-type elements carry their queue contents,
-// counters, and table state across.
+// counters, and table state across. A LookupIPRoute carries its
+// counters but not its routes: it routes by the replacement's
+// configured table, so a route added through its "add" handler is gone
+// after a swap.
 //
 // Tenants with identical rulesets share fused classifier decision
 // diagrams through a plane-wide hash-cons table

@@ -23,16 +23,21 @@ import (
 // connections into or out of the subset occur only at the places the
 // pattern's input/output pseudoelements allow.
 //
-// Matching is subgraph isomorphism — NP-complete in general; like the
-// tool, we implement Ullman's algorithm (refinement plus backtracking),
-// which works well for the patterns and configurations seen in
-// practice.
+// Matching is subgraph isomorphism — NP-complete in general. The search
+// backtracks over the pattern's elements, drawing each one's candidates
+// from the graph neighbours of one already matched (along the pattern's
+// own edges), or from its class when it has no matched neighbour. For
+// the small connected patterns seen in practice that visits little more
+// than the occurrences themselves.
 
 // PatternPair is one compiled pattern-replacement rule.
 type PatternPair struct {
 	Name        string
 	Pattern     *graph.Router // with materialized input/output pseudoelements
 	Replacement *graph.Router
+	// pelems lists the pattern's concrete elements, in LiveIndices
+	// order: the order the search assigns them in.
+	pelems []int
 }
 
 // ParsePatterns compiles a pattern file: every elementclass N with a
@@ -66,10 +71,16 @@ func ParsePatterns(src, file string) ([]*PatternPair, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := validatePattern(pat, n); err != nil {
-			return nil, err
+		var pelems []int
+		for _, i := range pat.LiveIndices() {
+			if !isPseudo(pat.Element(i)) {
+				pelems = append(pelems, i)
+			}
 		}
-		pairs = append(pairs, &PatternPair{Name: n, Pattern: pat, Replacement: rep})
+		if len(pelems) == 0 {
+			return nil, fmt.Errorf("pattern %q has no concrete elements", n)
+		}
+		pairs = append(pairs, &PatternPair{Name: n, Pattern: pat, Replacement: rep, pelems: pelems})
 	}
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("%s: no pattern/replacement pairs found", file)
@@ -79,19 +90,6 @@ func ParsePatterns(src, file string) ([]*PatternPair, error) {
 
 func isPseudo(e *graph.Element) bool {
 	return e.Class == lang.InputPseudoClass || e.Class == lang.OutputPseudoClass
-}
-
-func validatePattern(pat *graph.Router, name string) error {
-	real := 0
-	for _, i := range pat.LiveIndices() {
-		if !isPseudo(pat.Element(i)) {
-			real++
-		}
-	}
-	if real == 0 {
-		return fmt.Errorf("pattern %q has no concrete elements", name)
-	}
-	return nil
 }
 
 // bindings lists wildcard names ("$x") with the argument text each
@@ -172,6 +170,9 @@ type match struct {
 	// elements only).
 	m map[int]int
 	b bindings
+	// borderIn and borderOut map the pattern's border ports onto the
+	// matched elements: (graph element, port) -> pseudoelement port.
+	borderIn, borderOut map[[2]int]int
 }
 
 // xformRun is what one Xform run keeps between matches.
@@ -188,6 +189,11 @@ type xformRun struct {
 	indexed int
 }
 
+// newXformRun starts a run over g.
+func newXformRun(g *graph.Router) *xformRun {
+	return &xformRun{g: g, tabu: map[[2]string]bool{}, args: configArgs{}, byClass: map[string][]int{}}
+}
+
 // ofClass returns the indices of g's elements of the class, in order.
 func (x *xformRun) ofClass(class string) []int {
 	for ; x.indexed < len(x.g.Elements); x.indexed++ {
@@ -198,157 +204,89 @@ func (x *xformRun) ofClass(class string) []int {
 }
 
 // findMatch searches g for an occurrence of the pattern, excluding
-// tabu elements.
+// tabu elements. It backtracks over the pattern's elements in pelems
+// order, trying each one's candidates in ascending order, so it returns
+// the first assignment in that order that verifyMatch accepts.
 func (x *xformRun) findMatch(pair *PatternPair) *match {
-	g, args := x.g, x.args
-	pat := pair.Pattern
-	var pelems []int
-	for _, i := range pat.LiveIndices() {
-		if !isPseudo(pat.Element(i)) {
-			pelems = append(pelems, i)
-		}
-	}
-
-	// Ullman candidate sets: class equality and config compatibility.
-	cands := make([][]int, len(pelems))
-	scratch := make(bindings, 0, 8)
-	for pi, p := range pelems {
-		pe := pat.Element(p)
-		for _, gidx := range x.ofClass(pe.Class) {
-			ge := g.Element(gidx)
-			if g.Dead(gidx) || x.tabu[[2]string{pair.Name, ge.Name}] {
-				continue
-			}
-			if _, ok := matchConfig(args.of(pe), args.of(ge), scratch[:0]); !ok {
-				continue
-			}
-			cands[pi] = append(cands[pi], gidx)
-		}
-		if len(cands[pi]) == 0 {
-			return nil
-		}
-	}
-
-	// Ullman refinement: a candidate g for pattern element p must have,
-	// for every pattern edge p->p' (or p'<-p), a graph edge to some
-	// candidate of p'. Iterate to fixpoint.
-	patIdx := make([]int, len(pat.Elements)) // pattern elem -> index in pelems, -1 for pseudo
-	for i := range patIdx {
-		patIdx[i] = -1
-	}
-	for pi, p := range pelems {
-		patIdx[p] = pi
-	}
-	inCand := make([][]bool, len(pelems))
-	rebuild := func() {
-		for pi := range cands {
-			if inCand[pi] == nil {
-				inCand[pi] = make([]bool, len(g.Elements))
-			}
-			clear(inCand[pi])
-			for _, c := range cands[pi] {
-				inCand[pi][c] = true
-			}
-		}
-	}
-	rebuild()
-	for changed := true; changed; {
-		changed = false
-		for pi, p := range pelems {
-			kept := cands[pi][:0]
-		cand:
-			for _, gc := range cands[pi] {
-				for _, pc := range pat.ConnsFrom(p) {
-					ti := patIdx[pc.To]
-					if ti < 0 {
-						continue // edge to pseudo
-					}
-					found := false
-					for _, gcc := range g.OutputConns(gc, pc.FromPort) {
-						if gcc.ToPort == pc.ToPort && inCand[ti][gcc.To] {
-							found = true
-							break
-						}
-					}
-					if !found {
-						continue cand
-					}
-				}
-				for _, pc := range pat.ConnsTo(p) {
-					fi := patIdx[pc.From]
-					if fi < 0 {
-						continue
-					}
-					found := false
-					for _, gcc := range g.InputConns(gc, pc.ToPort) {
-						if gcc.FromPort == pc.FromPort && inCand[fi][gcc.From] {
-							found = true
-							break
-						}
-					}
-					if !found {
-						continue cand
-					}
-				}
-				kept = append(kept, gc)
-			}
-			if len(kept) != len(cands[pi]) {
-				cands[pi] = kept
-				changed = true
-				if len(kept) == 0 {
-					return nil
-				}
-			}
-		}
-		if changed {
-			rebuild()
-		}
-	}
-
-	// Backtracking search over refined candidates.
+	g, args, pat, pelems := x.g, x.args, pair.Pattern, pair.pelems
 	assign := make([]int, len(pat.Elements)) // pattern elem -> graph elem
-	used := make([]bool, len(g.Elements))    // graph elems already assigned
+	matched := make([]int, 0, len(pelems))   // graph elems of pelems[:k]
 	var try func(k int, b bindings) *match
 	try = func(k int, b bindings) *match {
 		if k == len(pelems) {
-			return verifyMatch(g, pair, pelems, assign, used, b)
+			return verifyMatch(g, pair, assign, matched, b)
 		}
 		p := pelems[k]
 		pe := pat.Element(p)
-		for _, gc := range cands[k] {
-			if used[gc] {
+		for _, gc := range x.candidates(pair, k, assign) {
+			ge := g.Element(gc)
+			if ge.Class != pe.Class || g.Dead(gc) || x.tabu[[2]string{pair.Name, ge.Name}] || slices.Contains(matched, gc) {
 				continue
 			}
-			nb, ok := matchConfig(args.of(pe), args.of(g.Element(gc)), b)
+			nb, ok := matchConfig(args.of(pe), args.of(ge), b)
 			if !ok {
 				continue
 			}
 			assign[p] = gc
-			used[gc] = true
+			matched = append(matched, gc)
 			if mm := try(k+1, nb); mm != nil {
 				return mm
 			}
-			used[gc] = false
+			matched = matched[:k]
 		}
 		return nil
 	}
-	return try(0, scratch[:0])
+	return try(0, make(bindings, 0, 8))
+}
+
+// candidates returns, ascending and without repeats, the graph elements
+// pattern element pelems[k] may match given assign for pelems[:k]: the
+// far ends of its first connection to an element already matched, or
+// every element of its class when it has none. Every assignment
+// verifyMatch accepts has all of the pattern's internal connections, so
+// the elements left out could complete no match.
+func (x *xformRun) candidates(pair *PatternPair, k int, assign []int) []int {
+	pat, p, before := pair.Pattern, pair.pelems[k], pair.pelems[:k]
+	var ends []int
+	for _, pc := range pat.ConnsFrom(p) {
+		if slices.Contains(before, pc.To) {
+			for _, c := range x.g.InputConns(assign[pc.To], pc.ToPort) {
+				if c.FromPort == pc.FromPort {
+					ends = append(ends, c.From)
+				}
+			}
+			slices.Sort(ends)
+			return slices.Compact(ends)
+		}
+	}
+	for _, pc := range pat.ConnsTo(p) {
+		if slices.Contains(before, pc.From) {
+			for _, c := range x.g.OutputConns(assign[pc.From], pc.FromPort) {
+				if c.ToPort == pc.ToPort {
+					ends = append(ends, c.To)
+				}
+			}
+			slices.Sort(ends)
+			return slices.Compact(ends)
+		}
+	}
+	return x.ofClass(pat.Element(p).Class)
 }
 
 // verifyMatch checks the full structural conditions for an assignment:
 // every pattern-internal connection exists in the graph, and every
 // graph connection incident to a matched element is licensed — either
 // it corresponds to a pattern-internal connection, or the pattern
-// routes that port to an input/output pseudoelement. inSet marks the
-// matched graph elements.
-func verifyMatch(g *graph.Router, pair *PatternPair, pelems, assign []int, inSet []bool, b bindings) *match {
+// routes that port to an input/output pseudoelement. matched lists the
+// matched graph elements in pelems order.
+func verifyMatch(g *graph.Router, pair *PatternPair, assign, matched []int, b bindings) *match {
 	pat := pair.Pattern
 
-	// Pattern-internal edges must exist (refinement checked per-edge
-	// reachability into candidate sets, not the final assignment).
+	// Pattern-internal edges must exist (the search followed only one
+	// edge per element).
 	patConnSet := map[graph.Connection]bool{}
-	borderIn := map[[2]int]bool{}  // (graph elem, port) allowed external input
-	borderOut := map[[2]int]bool{} // (graph elem, port) allowed external output
+	borderIn := map[[2]int]int{}  // (graph elem, port) allowed external input
+	borderOut := map[[2]int]int{} // (graph elem, port) allowed external output
 	for _, pc := range pat.Conns {
 		fromPseudo := isPseudo(pat.Element(pc.From))
 		toPseudo := isPseudo(pat.Element(pc.To))
@@ -356,9 +294,9 @@ func verifyMatch(g *graph.Router, pair *PatternPair, pelems, assign []int, inSet
 		case fromPseudo && toPseudo:
 			return nil // degenerate pattern
 		case fromPseudo:
-			borderIn[[2]int{assign[pc.To], pc.ToPort}] = true
+			borderIn[[2]int{assign[pc.To], pc.ToPort}] = pc.FromPort
 		case toPseudo:
-			borderOut[[2]int{assign[pc.From], pc.FromPort}] = true
+			borderOut[[2]int{assign[pc.From], pc.FromPort}] = pc.ToPort
 		default:
 			gc := graph.Connection{From: assign[pc.From], FromPort: pc.FromPort, To: assign[pc.To], ToPort: pc.ToPort}
 			patConnSet[gc] = true
@@ -370,10 +308,10 @@ func verifyMatch(g *graph.Router, pair *PatternPair, pelems, assign []int, inSet
 
 	// License check for all graph connections touching the set: those
 	// leaving a matched element, and those entering one from outside.
-	for _, p := range pelems {
-		for _, c := range g.ConnsFrom(assign[p]) {
-			out := borderOut[[2]int{c.From, c.FromPort}]
-			if !inSet[c.To] {
+	for _, gi := range matched {
+		for _, c := range g.ConnsFrom(gi) {
+			_, out := borderOut[[2]int{c.From, c.FromPort}]
+			if !slices.Contains(matched, c.To) {
 				if !out {
 					return nil
 				}
@@ -382,19 +320,20 @@ func verifyMatch(g *graph.Router, pair *PatternPair, pelems, assign []int, inSet
 			// An internal connection the pattern doesn't mention is
 			// allowed only if the pattern exposes both endpoints as
 			// border ports (it then survives as an external path).
-			if !patConnSet[c] && !(out && borderIn[[2]int{c.To, c.ToPort}]) {
+			_, in := borderIn[[2]int{c.To, c.ToPort}]
+			if !patConnSet[c] && !(out && in) {
 				return nil
 			}
 		}
-		for _, c := range g.ConnsTo(assign[p]) {
-			if !inSet[c.From] && !borderIn[[2]int{c.To, c.ToPort}] {
+		for _, c := range g.ConnsTo(gi) {
+			if _, in := borderIn[[2]int{c.To, c.ToPort}]; !in && !slices.Contains(matched, c.From) {
 				return nil
 			}
 		}
 	}
-	m := &match{pair: pair, m: map[int]int{}, b: b}
-	for _, p := range pelems {
-		m.m[p] = assign[p]
+	m := &match{pair: pair, m: map[int]int{}, b: b, borderIn: borderIn, borderOut: borderOut}
+	for k, p := range pair.pelems {
+		m.m[p] = matched[k]
 	}
 	return m
 }
@@ -414,18 +353,6 @@ func applyMatch(g *graph.Router, mm *match) []string {
 		patNameOf[pat.Element(p).Name] = g.Element(gi).Name
 	}
 
-	// Border ports of the pattern, mapped onto matched graph elements.
-	patBorderIn := map[[2]int]int{}  // (graph elem, port) -> pseudo input port
-	patBorderOut := map[[2]int]int{} // (graph elem, port) -> pseudo output port
-	for _, pc := range pat.Conns {
-		if isPseudo(pat.Element(pc.From)) {
-			patBorderIn[[2]int{mm.m[pc.To], pc.ToPort}] = pc.FromPort
-		}
-		if isPseudo(pat.Element(pc.To)) {
-			patBorderOut[[2]int{mm.m[pc.From], pc.FromPort}] = pc.ToPort
-		}
-	}
-
 	inSet := make([]bool, len(g.Elements))
 	for _, gi := range mm.m {
 		inSet[gi] = true
@@ -443,17 +370,17 @@ func applyMatch(g *graph.Router, mm *match) []string {
 		fromIn, toIn := inSet[c.From], inSet[c.To]
 		switch {
 		case fromIn && toIn:
-			op, okO := patBorderOut[[2]int{c.From, c.FromPort}]
-			ip, okI := patBorderIn[[2]int{c.To, c.ToPort}]
+			op, okO := mm.borderOut[[2]int{c.From, c.FromPort}]
+			ip, okI := mm.borderIn[[2]int{c.To, c.ToPort}]
 			if okO && okI {
 				bridges = append(bridges, bridge{op, ip})
 			}
 		case toIn:
-			if ip, ok := patBorderIn[[2]int{c.To, c.ToPort}]; ok {
+			if ip, ok := mm.borderIn[[2]int{c.To, c.ToPort}]; ok {
 				extIn = append(extIn, attach{c.From, c.FromPort, ip})
 			}
 		case fromIn:
-			if op, ok := patBorderOut[[2]int{c.From, c.FromPort}]; ok {
+			if op, ok := mm.borderOut[[2]int{c.From, c.FromPort}]; ok {
 				extOut = append(extOut, attach{c.To, c.ToPort, op})
 			}
 		}
@@ -525,7 +452,7 @@ func applyMatch(g *graph.Router, mm *match) []string {
 func Xform(g *graph.Router, pairs []*PatternPair) int {
 	applied := 0
 	patternCounts := map[string]int{}
-	x := &xformRun{g: g, tabu: map[[2]string]bool{}, args: configArgs{}, byClass: map[string][]int{}}
+	x := newXformRun(g)
 	const maxApplications = 10000
 	for applied < maxApplications {
 		var mm *match
