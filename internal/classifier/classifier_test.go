@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -606,5 +607,44 @@ func TestValidateChecksSafeLength(t *testing.T) {
 	}
 	if _, ok, _ := c.Match(ip(16)); !ok {
 		t.Error("16-byte IP frame dropped")
+	}
+}
+
+// TestCompileRejectsBackwardEdges: Compile lowers children before their
+// parents, so a program Validate rejects for a backward, self or
+// out-of-range edge must fail when it is compiled, not when it first
+// matches a packet.
+func TestCompileRejectsBackwardEdges(t *testing.T) {
+	test := Expr{Offset: 12, Mask: 0xffff0000, Value: 0x08000000}
+	node := func(yes, no Target) Expr {
+		e := test
+		e.Yes, e.No = yes, no
+		return e
+	}
+	for _, c := range []struct {
+		name  string
+		entry Target
+		exprs []Expr
+	}{
+		{"backward", 1, []Expr{node(LeafPort(0), Drop), node(0, Drop)}},
+		{"self", 0, []Expr{node(0, Drop)}},
+		{"past the end", 0, []Expr{node(LeafPort(0), 2)}},
+		{"entry past the end", 1, []Expr{node(LeafPort(0), Drop)}},
+	} {
+		pr := &Program{NOutputs: 1, Entry: c.entry, Exprs: c.exprs, SafeLength: 16}
+		if pr.Validate() == nil {
+			t.Fatalf("%s: Validate accepted the program", c.name)
+		}
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s: Compile accepted the program", c.name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, "not forward") {
+					t.Errorf("%s: Compile panicked with %q, want a forward-edge message", c.name, msg)
+				}
+			}()
+			Compile(pr)
+		}()
 	}
 }

@@ -1,15 +1,21 @@
 package classifier
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Compiled is the click-fastclassifier form of a decision tree. Go has
 // no runtime code generation, so "compiling" means lowering the tree
-// into a memoized closure DAG with the offsets, masks, and comparison
-// values captured as constants — no Expr array traversal and no
-// decision-tree data to fetch, which is the optimization's point: the
-// tree's memory traffic disappears and each step is a compare-and-jump
-// (Figure 3b). The equivalent generated source text (see
-// GenerateGoSource) is what the tool writes into the output archive.
+// into a closure DAG with the offsets, masks, and comparison values
+// captured as constants — no Expr array traversal and no decision-tree
+// data to fetch, which is the optimization's point: the tree's memory
+// traffic disappears and each step is a compare-and-jump (Figure 3b).
+// Edges point forward, so the lowering is one pass in reverse index
+// order: one closure per node and variant, shared where the diagram
+// shares the node, and one per distinct leaf. The equivalent generated
+// source text (see GenerateGoSource) is what the tool writes into the
+// output archive.
 type Compiled struct {
 	prog      *Program
 	checked   matchFn
@@ -20,36 +26,57 @@ type Compiled struct {
 // cost model can charge compiled execution per step.
 type matchFn func(data []byte, steps int) (Target, int)
 
-// Compile lowers a program. The program should already be optimized.
+// Compile lowers a program. The program should already be optimized;
+// it must keep Validate's forward-edge invariant, which Compile checks:
+// a node that references itself, an earlier node or a node past the end
+// panics here rather than at its first match.
 func Compile(pr *Program) *Compiled {
 	c := &Compiled{prog: pr}
-	c.unchecked = c.compileTarget(pr.Entry, false, make(map[Target]matchFn, len(pr.Exprs)))
-	c.checked = c.compileTarget(pr.Entry, true, make(map[Target]matchFn, len(pr.Exprs)))
+	leaves := make([]matchFn, pr.NOutputs+1)
+	c.unchecked = c.lower(false, leaves)
+	c.checked = c.lower(true, leaves)
 	return c
 }
 
 // Program returns the compiled program's tree.
 func (c *Compiled) Program() *Program { return c.prog }
 
-func (c *Compiled) compileTarget(t Target, checked bool, memo map[Target]matchFn) matchFn {
-	if t.IsLeaf() {
-		return func(_ []byte, steps int) (Target, int) { return t, steps }
+// lower builds one variant's closure DAG in reverse index order: edges
+// point forward, so both children of a node are lowered before it.
+// leaves holds one closure per leaf target, indexed by -t-1 (drop, then
+// the ports in order) and shared by both variants.
+func (c *Compiled) lower(checked bool, leaves []matchFn) matchFn {
+	exprs := c.prog.Exprs
+	fns := make([]matchFn, len(exprs))
+	target := func(from int, t Target) matchFn {
+		if !t.IsLeaf() {
+			if int(t) <= from || int(t) >= len(exprs) {
+				panic(fmt.Sprintf("classifier: Compile: edge %d -> %d is not forward in a %d-node program", from, int(t), len(exprs)))
+			}
+			return fns[t]
+		}
+		i := -int(t) - 1
+		if i < len(leaves) && leaves[i] != nil {
+			return leaves[i]
+		}
+		leaf := func(_ []byte, steps int) (Target, int) { return t, steps }
+		if i < len(leaves) { // a port past NOutputs (Validate rejects it) is not cached
+			leaves[i] = leaf
+		}
+		return leaf
 	}
-	if fn, ok := memo[t]; ok {
-		return fn
+	for i := len(exprs) - 1; i >= 0; i-- {
+		e := &exprs[i]
+		fns[i] = lowerNode(int(e.Offset), e.Mask, e.Value, target(i, e.Yes), target(i, e.No), checked)
 	}
-	// Reserve the memo slot with an indirect trampoline so shared
-	// subtrees and the memoization of forward references interact
-	// correctly (trees are acyclic, so the indirection resolves before
-	// any call).
-	var self matchFn
-	memo[t] = func(d []byte, s int) (Target, int) { return self(d, s) }
-	e := c.prog.Exprs[t]
-	yes := c.compileTarget(e.Yes, checked, memo)
-	no := c.compileTarget(e.No, checked, memo)
-	off, mask, value := int(e.Offset), e.Mask, e.Value
+	return target(-1, c.prog.Entry)
+}
+
+// lowerNode is one node's closure: a compare-and-jump on the word at
+// off, with or without the short-packet check.
+func lowerNode(off int, mask, value uint32, yes, no matchFn, checked bool) matchFn {
 	if checked {
-		self = func(d []byte, steps int) (Target, int) {
+		return func(d []byte, steps int) (Target, int) {
 			steps++
 			var w uint32
 			if off+4 <= len(d) {
@@ -73,17 +100,14 @@ func (c *Compiled) compileTarget(t Target, checked bool, memo map[Target]matchFn
 			}
 			return no(d, steps)
 		}
-	} else {
-		self = func(d []byte, steps int) (Target, int) {
-			steps++
-			if binary.BigEndian.Uint32(d[off:])&mask == value {
-				return yes(d, steps)
-			}
-			return no(d, steps)
-		}
 	}
-	memo[t] = self
-	return self
+	return func(d []byte, steps int) (Target, int) {
+		steps++
+		if binary.BigEndian.Uint32(d[off:])&mask == value {
+			return yes(d, steps)
+		}
+		return no(d, steps)
+	}
 }
 
 // Match classifies data: output port, matched (false = drop), and the

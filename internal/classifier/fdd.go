@@ -10,14 +10,16 @@ package classifier
 // protocol field the upstream filter already established); the
 // path-sensitive rebuild propagates the facts each edge establishes and
 // drops every test they decide, while hash-consing shares identical
-// result subtrees so the diagram stays compact where trees blow up.
+// result subtrees so the diagram stays compact where trees blow up. The
+// rebuild's working memory is sized once per program: one fact slot per
+// node (the depth bound of a path) and one undo stack of chain heads.
 
 import "math/bits"
 
-// Clone returns a deep copy of the program. Splice and SpecializeFDD
-// mutate node lists in place; callers composing programs that are
-// shared (a compiled classifier's tree, a registry spec's program) must
-// clone first.
+// Clone returns a deep copy of the program. Optimize rewrites the node
+// list in place and SpecializeFDD replaces it; callers composing
+// programs that are shared (a compiled classifier's tree, a registry
+// spec's program) must clone first.
 func (pr *Program) Clone() *Program {
 	c := *pr
 	c.Exprs = append([]Expr(nil), pr.Exprs...)
@@ -93,7 +95,7 @@ func Splice(root *Program, cont []*Program, exitPort []int) *Program {
 
 // fddFact is one assertion established along a path: the masked word at
 // off compares eq (or not-eq) to value. Facts at one word offset form
-// an immutable per-path chain (prevSame); osum/omix accumulate the
+// a chain down the current path (prevSame); osum/omix accumulate the
 // chain's per-fact fingerprints commutatively, so the facts relevant to
 // a subtree fingerprint in O(distinct offsets), not O(path length). A
 // path never carries duplicate facts — a test whose fact is already on
@@ -103,7 +105,6 @@ type fddFact struct {
 	mask     uint32
 	value    uint32
 	eq       bool
-	hash     uint64
 	osum     uint64
 	omix     uint64
 	prevSame *fddFact
@@ -223,19 +224,13 @@ func (pr *Program) SpecializeFDD(maxVisits int) bool {
 
 	// Rebuilt nodes, children-first (edges point to lower indices),
 	// hash-consed so identical subtrees are one node.
-	type nkey struct {
-		off     int32
-		mask    uint32
-		value   uint32
-		yes, no Target
-	}
-	var nodes []Expr
-	hcons := map[nkey]Target{}
+	nodes := make([]Expr, 0, len(pr.Exprs))
+	hcons := make(map[nodeKey]Target, len(pr.Exprs))
 	mkNode := func(e *Expr, yes, no Target) Target {
 		if yes == no {
 			return yes
 		}
-		k := nkey{e.Offset, e.Mask, e.Value, yes, no}
+		k := nodeKey{e.Offset, e.Mask, e.Value, yes, no}
 		if t, ok := hcons[k]; ok {
 			return t
 		}
@@ -249,43 +244,33 @@ func (pr *Program) SpecializeFDD(maxVisits int) bool {
 		t        Target
 		sum, mix uint64
 	}
-	memo := map[mkey]Target{}
+	memo := make(map[mkey]Target, 2*len(pr.Exprs))
 	visits := 0
 	overBudget := false
 
-	// heads[b] is the path's fact chain for offset bucket b, one bucket
-	// per field id; pushing a fact copies the heads (copy-on-write
-	// persistence), which happens only at expansions, never on the
-	// decided fast path. Heads and facts are carved from chunks that die
-	// with the call; chunks double so small programs stay small.
-	nIDs := min(len(fieldID), 64)
-	var headSlab []*fddFact
-	var factSlab []fddFact
-	chunk := 16
-	push := func(h []*fddFact, b int, off int32, mask, value uint32, eq bool) []*fddFact {
-		if len(factSlab) == 0 {
-			chunk = min(2*chunk, 4096)
-			factSlab = make([]fddFact, chunk)
-			headSlab = make([]*fddFact, chunk*nIDs)
-		}
-		nh := headSlab[:nIDs:nIDs]
-		headSlab = headSlab[nIDs:]
-		copy(nh, h)
-		f := &factSlab[0]
-		factSlab = factSlab[1:]
-		hash := fddFactHash(off, mask, value, eq)
-		*f = fddFact{off: off, mask: mask, value: value, eq: eq, hash: hash, prevSame: nh[b]}
+	// heads[b] is the current path's fact chain for offset bucket b, one
+	// bucket per field id. The walk is depth first and memo keys hold
+	// only fingerprints, so one heads array serves every path as an
+	// undo stack: an expansion saves heads[b], pushes its fact, recurses
+	// and restores. The fact an expansion at path depth d pushes lives in
+	// facts[d]; edges point forward, so a path expands each node at most
+	// once and len(pr.Exprs) slots bound the depth.
+	heads := make([]*fddFact, min(len(fieldID), 64))
+	facts := make([]fddFact, len(pr.Exprs))
+	fact := func(d int, e *Expr, eq bool, prev *fddFact) *fddFact {
+		f := &facts[d]
+		hash := fddFactHash(e.Offset, e.Mask, e.Value, eq)
+		*f = fddFact{off: e.Offset, mask: e.Mask, value: e.Value, eq: eq, prevSame: prev}
 		f.osum, f.omix = hash, bits.RotateLeft64(hash, int(hash>>58))
-		if p := nh[b]; p != nil {
-			f.osum += p.osum
-			f.omix ^= p.omix
+		if prev != nil {
+			f.osum += prev.osum
+			f.omix ^= prev.omix
 		}
-		nh[b] = f
-		return nh
+		return f
 	}
 
-	var build func(t Target, heads []*fddFact) Target
-	build = func(t Target, heads []*fddFact) Target {
+	var build func(t Target, depth int) Target
+	build = func(t Target, depth int) Target {
 		// Decided fast path: hop along the chain of tests the path's
 		// facts already answer, without touching the memo.
 		for !t.IsLeaf() && !overBudget {
@@ -322,8 +307,13 @@ func (pr *Program) SpecializeFDD(maxVisits int) bool {
 			return r
 		}
 		e := &pr.Exprs[t]
-		yes := build(e.Yes, push(heads, fids[t], e.Offset, e.Mask, e.Value, true))
-		no := build(e.No, push(heads, fids[t], e.Offset, e.Mask, e.Value, false))
+		b := fids[t]
+		saved := heads[b]
+		heads[b] = fact(depth, e, true, saved)
+		yes := build(e.Yes, depth+1)
+		heads[b] = fact(depth, e, false, saved)
+		no := build(e.No, depth+1)
+		heads[b] = saved
 		r := mkNode(e, yes, no)
 		if !overBudget {
 			memo[k] = r
@@ -331,27 +321,15 @@ func (pr *Program) SpecializeFDD(maxVisits int) bool {
 		return r
 	}
 
-	entry := build(pr.Entry, make([]*fddFact, nIDs))
+	entry := build(pr.Entry, 0)
 	if overBudget {
 		return false
 	}
-	// Children were appended before parents; reversing restores the
-	// forward-edge invariant, and renumber canonicalizes.
-	n := len(nodes)
-	remap := func(t Target) Target {
-		if t.IsLeaf() {
-			return t
-		}
-		return Target(n - 1 - int(t))
-	}
-	exprs := make([]Expr, n)
-	for i, e := range nodes {
-		e.Yes = remap(e.Yes)
-		e.No = remap(e.No)
-		exprs[n-1-i] = e
-	}
-	pr.Exprs = exprs
-	pr.Entry = remap(entry)
+	// Children were appended before parents; renumber restores the
+	// forward-edge invariant and canonicalizes (its order depends only
+	// on the diagram's shape, not on the node indices it starts from).
+	pr.Exprs = nodes
+	pr.Entry = entry
 	pr.renumber()
 	pr.computeSafeLength()
 	return true

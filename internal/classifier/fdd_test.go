@@ -250,3 +250,96 @@ func TestSpecializeFDDSharesSubtrees(t *testing.T) {
 		t.Fatalf("shadowed duplicate rule not eliminated: %d nodes vs %d", len(two.Exprs), len(one.Exprs))
 	}
 }
+
+// deepChainRules is a rule chain in which no test decides another: each
+// rule pins one source or destination host, so the path that misses
+// every rule carries only negative facts and must expand every node.
+func deepChainRules(n int) []string {
+	rules := make([]string, 0, n+1)
+	for k := 0; k < n; k++ {
+		if k%2 == 0 {
+			rules = append(rules, fmt.Sprintf("deny src host 10.0.%d.%d", k/250, 1+k%250))
+		} else {
+			rules = append(rules, fmt.Sprintf("allow dst host 10.1.%d.%d", k/250, 1+k%250))
+		}
+	}
+	return append(rules, "deny all")
+}
+
+// TestSpecializeFDDDeepPath: on a chain whose FDD path depth equals the
+// node count, the rebuild keeps every test (none is decided), and the
+// diagram and its compiled matcher agree with the interpreter on random
+// and truncated packets, many of which hit a rule deep in the chain.
+func TestSpecializeFDDDeepPath(t *testing.T) {
+	const n = 300
+	pr, err := BuildIPFilterProgram(deepChainRules(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.Optimize()
+	if len(pr.Exprs) != n || pr.Depth() != n {
+		t.Fatalf("chain: %d nodes, depth %d; want %d and %d", len(pr.Exprs), pr.Depth(), n, n)
+	}
+	orig := pr.Clone()
+	if !pr.SpecializeFDD(10 * n * n) {
+		t.Fatal("over budget")
+	}
+	pr.Optimize()
+	if err := pr.Validate(); err != nil {
+		t.Fatalf("FDD output invalid: %v", err)
+	}
+	if d := pr.Depth(); d != n {
+		t.Fatalf("FDD depth %d, want %d: a test on the miss path was dropped", d, n)
+	}
+	comp := Compile(pr)
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 4000; i++ {
+		data := make([]byte, r.Intn(40))
+		r.Read(data)
+		if len(data) >= 20 && r.Intn(4) != 0 {
+			// A host some rule names: the k-th rule's host.
+			k := r.Intn(n)
+			off := 12
+			hi := byte(0)
+			if k%2 == 1 {
+				off, hi = 16, 1
+			}
+			copy(data[off:], []byte{10, hi, byte(k / 250), byte(1 + k%250)})
+		}
+		wp, wok, _ := orig.Match(data)
+		gp, gok, _ := pr.Match(data)
+		cp, cok, _ := comp.Match(data)
+		if wok != gok || wok != cok || (wok && (wp != gp || wp != cp)) {
+			t.Fatalf("packet %d (%d bytes): tree (%d,%v), FDD (%d,%v), compiled (%d,%v)\n%x",
+				i, len(data), wp, wok, gp, gok, cp, cok, data)
+		}
+	}
+}
+
+// TestSpecializeFDDDeterministic: rebuilding two clones of one program
+// gives identical diagrams.
+func TestSpecializeFDDDeterministic(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	progs := []*Program{}
+	for trial := 0; trial < 20; trial++ {
+		pr, err := BuildIPFilterProgram(fddRuleSet(r, 2+r.Intn(12)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, pr)
+	}
+	deep, err := BuildIPFilterProgram(deepChainRules(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pr := range append(progs, deep) {
+		pr.Optimize()
+		a, b := pr.Clone(), pr.Clone()
+		if !a.SpecializeFDD(200000) || !b.SpecializeFDD(200000) {
+			t.Fatalf("program %d: over budget", i)
+		}
+		if !a.Equal(b) {
+			t.Fatalf("program %d: two rebuilds differ\n%s\nvs\n%s", i, a, b)
+		}
+	}
+}

@@ -56,19 +56,19 @@ func BenchmarkFuse(b *testing.B) {
 }
 
 // TestFuseAllocationCeilings bounds the allocations of one Fuse call on
-// each benchmark configuration. The ceilings are the counts measured
-// with go1.24 once Fuse composed each distinct run once per call, took
-// SpecializeFDD's fact contexts from slabs and emitted its archive
-// source without fmt; before that the counts were 6 131 and 1 783.
-// fwd-mixed reads 1 132 or 1 133, depending on how the map seeds split
-// the largest hash tables.
+// each benchmark configuration. The ceilings sit just above the counts
+// measured with go1.24 once the classifier compiler allocated per
+// program rather than per path or node: fwd-mixed reads 532 or 533,
+// depending on how the map seeds split the largest hash tables, and
+// ctl-tenant 217. Before that they were 572 to 573 and 256; before Fuse
+// composed each distinct run once per call, 6 131 and 1 783.
 func TestFuseAllocationCeilings(t *testing.T) {
 	if packet.RaceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	ceilings := map[string]float64{
-		"fwd-mixed":  1133,
-		"ctl-tenant": 838,
+		"fwd-mixed":  534,
+		"ctl-tenant": 218,
 	}
 	for _, w := range fuseWorkloads(t) {
 		const runs = 20
